@@ -1,9 +1,8 @@
 """A from-scratch Lanczos eigensolver with reorthogonalization + deflation.
 
 ARPACK (via ``scipy.sparse.linalg.eigsh``) is the production path in
-:mod:`repro.core.eigen`; this module provides an independent, readable
-implementation used (a) as a cross-check oracle in the test suite and
-(b) as a dependency-light fallback backend.
+:mod:`repro.solvers`; this module provides an independent, readable
+implementation used as a cross-check oracle in the test suite.
 
 Design notes
 ------------
@@ -197,73 +196,6 @@ def _rayleigh_ritz_refine(operator, vectors: np.ndarray, t: int):
     ritz_values, ritz_vectors = np.linalg.eigh(projected)
     order = np.argsort(-ritz_values)[:t]
     return ritz_values[order], subspace @ ritz_vectors[:, order]
-
-
-def lanczos_spectral_interval(
-    operator, steps: int = 10, seed=0, return_basis: bool = False
-):
-    """Cheap Lanczos estimate of a symmetric operator's spectral interval.
-
-    Runs ``steps`` plain Lanczos iterations (no restarts, no deflation)
-    and returns ``(lower, upper)`` bounds derived from the tridiagonal
-    Ritz values, widened by the final residual norm ``beta`` — the
-    standard safeguard making ``upper`` an actual upper bound up to the
-    subspace's accuracy.  The lower bound is clipped at 0 (callers pass
-    PSD operators).
-
-    With ``return_basis`` the full Ritz decomposition of the Krylov space
-    is also returned as ``(lower, upper, ritz_values, ritz_vectors)``
-    (values ascending, vectors column-aligned and orthonormal).
-
-    This is the interval-estimation primitive of the Chebyshev-filtered
-    backend (:mod:`repro.solvers.chebyshev`): the filter only needs the
-    *upper* end of the spectrum to a few percent, which a handful of
-    steps delivers at ``steps`` matvecs — and the same run's bottom Ritz
-    vectors double as the filter's cold-start block.
-    """
-    n = operator.shape[0]
-    if n == 1:
-        value = float(np.asarray(operator @ np.ones(1)).ravel()[0])
-        lower, upper = min(value, 0.0), max(value, 0.0)
-        if return_basis:
-            return lower, upper, np.array([value]), np.ones((1, 1))
-        return lower, upper
-    steps = max(2, min(int(steps), n))
-    rng = check_random_state(seed)
-    basis = np.zeros((n, steps))
-    alphas = np.zeros(steps)
-    betas = np.zeros(steps)
-
-    vector = rng.standard_normal(n)
-    vector /= np.linalg.norm(vector)
-    basis[:, 0] = vector
-    previous = np.zeros(n)
-    beta = 0.0
-
-    size = 0
-    for j in range(steps):
-        size = j + 1
-        w = np.asarray(operator @ basis[:, j]).ravel()
-        alphas[j] = float(basis[:, j] @ w)
-        w -= alphas[j] * basis[:, j] + beta * previous
-        # One full reorthogonalization pass keeps the small basis clean.
-        w -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ w)
-        beta = float(np.linalg.norm(w))
-        betas[j] = beta
-        if beta < 1e-14 or j + 1 == steps:
-            break
-        previous = basis[:, j]
-        basis[:, j + 1] = w / beta
-
-    theta, tri_vectors = scipy.linalg.eigh_tridiagonal(
-        alphas[:size], betas[: size - 1]
-    )
-    margin = float(betas[size - 1])
-    lower = max(float(theta[0]) - margin, 0.0)
-    upper = float(theta[-1]) + margin
-    if return_basis:
-        return lower, upper, theta, basis[:, :size] @ tri_vectors
-    return lower, upper
 
 
 def lanczos_bottom_eigenpairs(

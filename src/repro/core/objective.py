@@ -117,9 +117,6 @@ class SpectralObjective:
         Evaluate through the stacked GEMV aggregation + warm-started
         eigensolves (default).  ``False`` selects the legacy route of
         ``r`` sparse additions and cold-started solves.
-    matrix_free:
-        With ``fast_path``, feed iterative eigensolvers the matrix-free
-        aggregate operator instead of the materialized ``L(w)``.
     warm_start:
         With ``fast_path``, seed each iterative eigensolve with the
         previous evaluation's Ritz vectors.
@@ -146,7 +143,6 @@ class SpectralObjective:
         cache: bool = True,
         seed=0,
         fast_path: bool = True,
-        matrix_free: bool = False,
         warm_start: bool = True,
         solver: Optional[SolverContext] = None,
         shard=None,
@@ -165,7 +161,6 @@ class SpectralObjective:
         self.gamma = float(gamma)
         self.seed = seed
         self.fast_path = bool(fast_path)
-        self.matrix_free = bool(matrix_free)
         if solver is None:
             solver = SolverContext(
                 method=eigen_method, seed=seed, warm_start=warm_start
@@ -222,12 +217,7 @@ class SpectralObjective:
             return self.solver.eigenvalues(
                 self.stack.combine(weights), t, method="dense", warm=False
             )
-        return self._solve_prepared(
-            self.stack.operator(weights)
-            if self.matrix_free
-            else self.stack.combine(weights),
-            method,
-        )
+        return self._solve_prepared(self.stack.combine(weights), method)
 
     def _solve_prepared(self, laplacian, method: str) -> np.ndarray:
         """Iterative eigensolve of an already-aggregated ``L(w)``.
@@ -366,9 +356,7 @@ class SpectralObjective:
         e.g. neighboring grid nodes of a surface sweep — have nearby
         spectra).  When the solver context selects the ``batch`` backend,
         each chunk is handed to its threaded, seed-shared ``solve_many``
-        in one call instead of the sequential warm-start chain.  The
-        batch path always materializes data rows, so ``matrix_free`` does
-        not apply to it.
+        in one call instead of the sequential warm-start chain.
 
         Returns ``(components, n_eigensolves)`` where ``n_eigensolves`` is
         the number of eigensolves actually performed for this batch (cache

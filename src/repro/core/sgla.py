@@ -25,7 +25,7 @@ from repro.core.objective import LADDER_COARSE_TOL, SpectralObjective
 from repro.neighbors import NeighborStats
 from repro.optim.driver import minimize_on_simplex
 from repro.shard import ShardContext, shard_scope
-from repro.solvers import SolverContext, SolverStats
+from repro.solvers import SolverContext, SolverStats, get_backend
 from repro.utils.errors import ValidationError
 
 InputLike = Union[MVAG, Sequence[sp.spmatrix]]
@@ -56,11 +56,12 @@ class SGLAConfig:
     knn_params:
         Backend-specific knobs (rp-forest ``n_trees`` / ``leaf_size`` /
         ``refine_iters`` / ``spill``, exact-f32 ``tie_margin``).
-    eigen_method:
-        Eigensolver dispatch (any :mod:`repro.solvers` registry key).
     eigen_backend:
-        Alias for ``eigen_method`` matching the registry/CLI vocabulary;
-        when set (non-``None``) it wins over ``eigen_method``.
+        Eigensolver dispatch: ``"auto"`` (dense at or below
+        :data:`repro.solvers.DENSE_CUTOFF` nodes, Lanczos above) or any
+        :mod:`repro.solvers` registry key (``dense``, ``lanczos``,
+        ``batch``).  Unknown keys raise :class:`ValidationError` listing
+        the available backends.
     solver_workers:
         Thread budget for the ``batch`` backend's concurrent solves
         (``None`` uses the host core count).
@@ -79,9 +80,6 @@ class SGLAConfig:
         warm-started eigensolves (DESIGN.md §6, default).  ``False``
         selects the legacy per-evaluation sparse-add + cold-start route,
         kept for cross-checking.
-    matrix_free:
-        With ``fast_path``, run iterative eigensolvers against the
-        matrix-free aggregate operator instead of materializing ``L(w)``.
     warm_start:
         With ``fast_path``, seed each iterative eigensolve with the
         previous evaluation's Ritz vectors; disable to isolate warm-start
@@ -143,15 +141,13 @@ class SGLAConfig:
     knn_k: int = 10
     knn_backend: str = "exact"
     knn_params: Optional[dict] = None
-    eigen_method: str = "auto"
-    eigen_backend: Optional[str] = None
+    eigen_backend: str = "auto"
     solver_workers: Optional[int] = None
     optimizer_backend: str = "trust-linear"
     rho_start: float = 0.25
     surrogate_max_evaluations: int = 200
     seed: int = 0
     fast_path: bool = True
-    matrix_free: bool = False
     warm_start: bool = True
     tol_ladder: bool = False
     ladder_coarse_tol: float = LADDER_COARSE_TOL
@@ -196,11 +192,13 @@ class SGLAConfig:
             )
         if not self.coarsen_backend:
             raise ValidationError("coarsen_backend must be a non-empty name")
+        if self.eigen_backend != "auto":
+            get_backend(self.eigen_backend)
 
     @property
     def resolved_eigen_backend(self) -> str:
         """The registry key the solvers will use."""
-        return self.eigen_backend or self.eigen_method
+        return self.eigen_backend
 
     def make_solver(self) -> SolverContext:
         """A fresh :class:`repro.solvers.SolverContext` for one run."""
@@ -389,7 +387,6 @@ class SGLA:
             gamma=config.gamma,
             seed=config.seed,
             fast_path=config.fast_path,
-            matrix_free=config.matrix_free,
             solver=solver,
             shard=shard,
         )

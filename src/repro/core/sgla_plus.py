@@ -157,7 +157,6 @@ class SGLAPlus:
             gamma=config.gamma,
             seed=config.seed,
             fast_path=config.fast_path,
-            matrix_free=config.matrix_free,
             solver=solver,
             shard=shard,
         )

@@ -7,7 +7,7 @@ When ``L`` changes slightly — a new weight vector near the previous one, or
 a small batch of edge updates — the previous eigenvectors are an excellent
 subspace for the new bottom eigenspace.  :class:`WarmStartObjective`
 exploits that through a :class:`repro.solvers.SolverContext` configured
-for the LOBPCG backend (which consumes warm-start Ritz blocks natively),
+for the Lanczos backend (seeded from the previous solve's Ritz block),
 falling back to the exact dense path on small problems via the registry's
 shared dispatch rule.
 """
@@ -32,10 +32,10 @@ class WarmStartObjective:
 
     Functionally equivalent to :class:`repro.core.objective.
     SpectralObjective` (same ``h(w)`` value up to solver tolerance), but
-    successive evaluations reuse the previous eigenvector block as the
-    LOBPCG initial subspace.  The owning :class:`~repro.solvers.
-    SolverContext` tracks solve and matvec counts so the warm-start
-    benefit is measurable (see the lazy-update ablation bench).
+    successive evaluations seed Lanczos from the previous eigenvector
+    block.  The owning :class:`~repro.solvers.SolverContext` tracks
+    solve and matvec counts so the warm-start benefit is measurable (see
+    the lazy-update ablation bench).
 
     Parameters
     ----------
@@ -45,9 +45,9 @@ class WarmStartObjective:
     k, gamma:
         As in the static objective.
     tol:
-        LOBPCG residual tolerance.
+        Lanczos (ARPACK) convergence tolerance.
     solver:
-        Optional externally-owned context; by default a LOBPCG context is
+        Optional externally-owned context; by default a Lanczos context is
         created (small problems fall back to dense via the registry's
         dispatch rule, where warm starting has nothing to accelerate).
     """
@@ -76,7 +76,7 @@ class WarmStartObjective:
         self.n_evaluations = 0
         if solver is None:
             solver = SolverContext(
-                method="lobpcg", tol=tol, seed=seed, maxiter=100, warm_start=True
+                method="lanczos", tol=tol, seed=seed, maxiter=100, warm_start=True
             )
         self.solver = solver
 
@@ -96,9 +96,6 @@ class WarmStartObjective:
         warm starting reduces)."""
         return self.solver.stats.matvecs
 
-    # Backward-compatible alias (pre-registry name; counts matvecs now).
-    total_lobpcg_iterations = total_solver_matvecs
-
     def set_laplacians(self, laplacians: Sequence[sp.spmatrix]) -> None:
         """Swap in updated view Laplacians (keeps the eigenvector cache —
         small graph perturbations barely move the bottom eigenspace)."""
@@ -116,7 +113,7 @@ class WarmStartObjective:
 
     def _cold_solve(self, laplacian, t: int) -> Tuple[np.ndarray, np.ndarray]:
         """Exact cold solve (machine-precision ``auto`` dispatch, no
-        iteration cap — the context's LOBPCG-tuned settings do not apply)
+        iteration cap — the context's tolerance settings do not apply)
         whose Ritz block is donated to the context for later warm solves."""
         values, vectors = bottom_eigenpairs(
             laplacian, t, method="auto", seed=self.seed
@@ -127,9 +124,8 @@ class WarmStartObjective:
     def _solve(self, laplacian: sp.csr_matrix) -> Tuple[np.ndarray, np.ndarray]:
         t = self.k + 1
         if self.solver.warm_block(laplacian.shape[0]) is None:
-            # No cached subspace yet: a cold LOBPCG run from a random
-            # block can exit its iteration cap unconverged (scipy only
-            # warns), so the first evaluation uses the exact path.
+            # No cached subspace yet: the first evaluation runs the exact
+            # machine-precision path, and its block seeds every later one.
             return self._cold_solve(laplacian, t)
         try:
             return self.solver.eigenpairs(laplacian, t)

@@ -3,24 +3,16 @@
 All backends compute the *bottom* of a symmetric PSD spectrum contained in
 ``[0, 2]`` (normalized Laplacians and convex combinations thereof):
 
-* ``dense``        — ``scipy.linalg.eigh`` on the materialized matrix;
-  exact, the ground truth for small ``n`` and in tests;
-* ``lanczos``      — implicitly-restarted Lanczos (``eigsh``) on the
+* ``dense``   — ``scipy.linalg.eigh`` on the materialized matrix; exact,
+  the ground truth for small ``n`` and in tests;
+* ``lanczos`` — implicitly-restarted Lanczos (``eigsh``) on the
   complement ``2I - L`` (largest-of-complement converges without any
-  factorization or shift-invert);
-* ``lobpcg``       — block preconditioned solver; best with many requested
-  pairs and a good warm-start block;
-* ``shift-invert`` — ``eigsh`` in shift-invert mode with a small negative
-  shift (``L - sigma I`` is SPD, so the sparse factorization always
-  exists); converges in very few iterations on tightly clustered bottom
-  spectra where plain Lanczos stalls.
+  factorization or shift-invert).
 
-The Chebyshev-filtered block backend lives in its own module
-(:mod:`repro.solvers.chebyshev`) — it is scipy-free numerics on top of
-:mod:`repro.core.lanczos`.  Together these are the only modules in the
-repository allowed to call ``scipy.linalg.eigh`` / ``eigsh`` / ``lobpcg``
-directly — everything else goes through the registry
-(:mod:`repro.solvers.registry`).
+The threaded ``batch`` backend (:mod:`repro.solvers.batch`) wraps one of
+these per problem.  This is the only module in the repository allowed to
+call ``scipy.linalg.eigh`` / ``eigsh`` directly — everything else goes
+through the registry (:mod:`repro.solvers.registry`).
 """
 
 from __future__ import annotations
@@ -88,8 +80,8 @@ def _start_vector(problem: EigenProblem) -> np.ndarray:
     return start
 
 
-def _eigsh_with_salvage(problem: EigenProblem, operand, **eigsh_kwargs):
-    """One ``eigsh`` call shared by the ARPACK-based backends.
+def _eigsh_with_salvage(problem: EigenProblem, operand):
+    """One ``eigsh`` call for the Lanczos backend.
 
     Honors ``want_vectors`` and salvages partial results from
     ``ArpackNoConvergence`` when enough pairs converged; returns the raw
@@ -104,7 +96,7 @@ def _eigsh_with_salvage(problem: EigenProblem, operand, **eigsh_kwargs):
             v0=_start_vector(problem),
             maxiter=problem.maxiter,
             return_eigenvectors=problem.want_vectors,
-            **eigsh_kwargs,
+            which="LA",
         )
         values, vectors = result if problem.want_vectors else (result, None)
     except spla.ArpackNoConvergence as exc:  # pragma: no cover - rare
@@ -121,7 +113,6 @@ class DenseBackend(EigenBackend):
     """Exact dense solver (LAPACK ``eigh``); matvec-free."""
 
     name = "dense"
-    supports_operator = True  # via materialization — tiny-n fallback only
 
     def solve(self, problem: EigenProblem) -> EigenResult:
         matrix = _materialize(problem.operand).toarray()
@@ -140,7 +131,7 @@ class LanczosBackend(EigenBackend):
 
     def solve(self, problem: EigenProblem) -> EigenResult:
         counter = MatvecCounter(_complement(problem.operand, problem.n))
-        values, vectors = _eigsh_with_salvage(problem, counter, which="LA")
+        values, vectors = _eigsh_with_salvage(problem, counter)
         # Largest of (2I - L) descending == smallest of L ascending.
         order = np.argsort(-values)
         values = np.clip(
@@ -151,88 +142,5 @@ class LanczosBackend(EigenBackend):
         return EigenResult(values, vectors, self.name, matvecs=counter.count)
 
 
-class LobpcgBackend(EigenBackend):
-    """Block preconditioned solver; uses warm-start blocks natively."""
-
-    name = "lobpcg"
-
-    def solve(self, problem: EigenProblem) -> EigenResult:
-        n, t = problem.n, problem.t
-        rng = check_random_state(problem.seed if problem.seed is not None else 0)
-        guess = None
-        if problem.v0 is not None:
-            block = np.asarray(problem.v0, dtype=np.float64)
-            if block.ndim == 1:
-                block = block[:, None]
-            if block.shape[0] == n and block.shape[1] >= 1:
-                if block.shape[1] >= t:
-                    guess = np.ascontiguousarray(block[:, :t])
-                else:
-                    pad = rng.standard_normal((n, t - block.shape[1]))
-                    guess = np.hstack([block, pad])
-        if guess is None:
-            guess = rng.standard_normal((n, t))
-            # Constant vector is (near) the bottom eigenvector of connected
-            # views; seeding with it accelerates convergence substantially.
-            guess[:, 0] = 1.0
-        counter = MatvecCounter(problem.operand)
-        values, vectors = spla.lobpcg(
-            counter,
-            guess,
-            largest=False,
-            tol=problem.tol or 1e-8,
-            maxiter=problem.maxiter or 200,
-        )
-        order = np.argsort(values)
-        values = np.clip(
-            np.asarray(values)[order], 0.0, SPECTRUM_UPPER_BOUND
-        )
-        vectors = np.asarray(vectors)[:, order]
-        if not problem.want_vectors:
-            vectors = None
-        return EigenResult(values, vectors, self.name, matvecs=counter.count)
-
-
-class ShiftInvertBackend(EigenBackend):
-    """``eigsh`` in shift-invert mode around a small negative shift.
-
-    Each iteration applies ``(L - sigma I)^{-1}`` through a sparse LU
-    factorization, so convergence depends on the *separation* of the
-    bottom eigenvalues from the rest of the spectrum after inversion —
-    typically a handful of iterations even when the bottom cluster is
-    tight.  Requires a materialized matrix (the dispatch reroutes
-    matrix-free operands to ``lanczos``).  ``matvecs`` reports inner-
-    operator applications, i.e. sparse triangular solves, not SpMVs —
-    the factorization is built here and handed to ARPACK as ``OPinv``
-    wrapped in the counter.
-    """
-
-    name = "shift-invert"
-    supports_operator = False
-
-    #: shift strictly below the PSD spectrum so ``L - sigma I`` is SPD.
-    sigma = -1e-2
-
-    def solve(self, problem: EigenProblem) -> EigenResult:
-        matrix = ensure_csr(problem.operand).tocsc()
-        shifted = (matrix - self.sigma * sparse_identity(problem.n)).tocsc()
-        factorization = spla.splu(shifted)
-        opinv = MatvecCounter(
-            spla.LinearOperator(
-                matrix.shape, matvec=factorization.solve, dtype=np.float64
-            )
-        )
-        values, vectors = _eigsh_with_salvage(
-            problem, matrix, sigma=self.sigma, OPinv=opinv, which="LM"
-        )
-        order = np.argsort(values)
-        values = np.clip(values[order], 0.0, SPECTRUM_UPPER_BOUND)
-        if vectors is not None:
-            vectors = vectors[:, order]
-        return EigenResult(values, vectors, self.name, matvecs=opinv.count)
-
-
 register_backend(DenseBackend())
 register_backend(LanczosBackend())
-register_backend(LobpcgBackend())
-register_backend(ShiftInvertBackend())

@@ -16,7 +16,7 @@ backend comparisons measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -47,11 +47,6 @@ class EigenProblem:
     want_vectors:
         When ``False`` the backend may skip Ritz-vector assembly and
         return ``vectors=None``.
-    interval:
-        Optional ``(lower, upper)`` spectral-interval hint from a
-        previous nearby solve; backends that estimate the interval
-        (``chebyshev``) may start from it instead of spending matvecs
-        re-deriving it, as long as they guard against drift.
     """
 
     operand: object
@@ -61,17 +56,11 @@ class EigenProblem:
     maxiter: Optional[int] = None
     v0: Optional[np.ndarray] = None
     want_vectors: bool = True
-    interval: Optional[Tuple[float, float]] = None
 
     @property
     def n(self) -> int:
         """Problem dimension."""
         return self.operand.shape[0]
-
-    @property
-    def is_operator(self) -> bool:
-        """Whether the operand is matrix-free."""
-        return isinstance(self.operand, spla.LinearOperator)
 
     def with_v0(self, v0: Optional[np.ndarray]) -> "EigenProblem":
         """A copy of this problem seeded with ``v0`` (keeps an explicit
@@ -98,27 +87,13 @@ class EigenResult:
     ``values`` are the bottom eigenvalues ascending, clipped to the
     Laplacian spectrum range; ``vectors`` are column-aligned (or ``None``
     for values-only solves); ``matvecs`` counts operator applications
-    (0 for direct solvers).  Block backends may additionally expose
-    ``ritz_block`` — their full internal subspace basis (wanted pairs
-    *plus* guard columns), which is a strictly better warm start for the
-    next nearby solve than the wanted vectors alone; consumers
-    (:class:`repro.solvers.context.SolverContext`, the ``batch``
-    backend's shared seeding) prefer it over ``vectors`` when present.
+    (0 for direct solvers).
     """
 
     values: np.ndarray
     vectors: Optional[np.ndarray]
     backend: str
     matvecs: int = 0
-    ritz_block: Optional[np.ndarray] = None
-    #: the (lower, upper) spectral-interval estimate this solve derived
-    #: or validated — reusable as the next nearby solve's hint.
-    spectral_interval: Optional[Tuple[float, float]] = None
-
-    @property
-    def warm_block(self) -> Optional[np.ndarray]:
-        """The best block to seed a subsequent nearby solve with."""
-        return self.ritz_block if self.ritz_block is not None else self.vectors
 
     @property
     def pair(self):
@@ -148,7 +123,7 @@ class MatvecCounter(spla.LinearOperator):
     """Transparent operator wrapper counting matvec-equivalents.
 
     Block applications of width ``m`` count as ``m`` matvecs, so counts
-    are comparable between Lanczos (vector) and LOBPCG (block) backends.
+    stay comparable between vector and block solvers.
     """
 
     def __init__(self, operand) -> None:
@@ -180,8 +155,6 @@ class EigenBackend:
 
     #: registry key; subclasses override.
     name: str = ""
-    #: whether the backend accepts matrix-free ``LinearOperator`` operands.
-    supports_operator: bool = True
 
     def solve(self, problem: EigenProblem) -> EigenResult:
         raise NotImplementedError

@@ -100,10 +100,7 @@ class BatchedBackend(EigenBackend):
             rest = list(problems[1:])
         else:
             first = inner.solve(replace(problems[0], want_vectors=True))
-            # Block backends hand back their full guard-padded subspace
-            # (EigenResult.warm_block); it seeds followers better than
-            # the wanted Ritz vectors alone.
-            rest = [problem.with_v0(first.warm_block) for problem in problems[1:]]
+            rest = [problem.with_v0(first.vectors) for problem in problems[1:]]
         results: List[EigenResult] = [first]
         if not rest:
             return results

@@ -1,7 +1,7 @@
 """SolverContext — per-run solver state: warm starts, policy, statistics.
 
 A :class:`SolverContext` is what call sites thread through the pipeline
-instead of ad-hoc ``eigen_method`` strings.  It owns the three things a
+instead of ad-hoc backend-name strings.  It owns the three things a
 bare registry lookup cannot:
 
 * **warm-start Ritz blocks**, keyed by problem size, reused across every
@@ -133,7 +133,7 @@ class SolverContext:
     method:
         ``"auto"`` or a registered backend key; the per-problem dispatch
         still applies the shared fallback rules (dense below the cutoff,
-        ARPACK/lobpcg size constraints).
+        ARPACK's size constraint).
     tol, seed, maxiter:
         Passed to every solve (determinism comes from ``seed``).
     warm_start:
@@ -167,10 +167,6 @@ class SolverContext:
         self.max_workers = max_workers
         self.stats = SolverStats()
         self._warm_blocks: Dict[int, np.ndarray] = {}
-        # Spectral-interval estimates keyed like the warm blocks; saves
-        # the chebyshev backend its per-solve Lanczos interval run on
-        # warm-started chains (the backend guards against drift).
-        self._intervals: Dict[int, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------ #
     # Policy
@@ -213,7 +209,6 @@ class SolverContext:
     def invalidate(self) -> None:
         """Drop all cached warm-start state (keeps statistics)."""
         self._warm_blocks.clear()
-        self._intervals.clear()
 
     # ------------------------------------------------------------------ #
     # Target tolerance (the trust-region ladder's knob)
@@ -256,23 +251,13 @@ class SolverContext:
             maxiter=self.maxiter,
             v0=v0,
             want_vectors=want_vectors,
-            interval=(
-                self._intervals.get(operand.shape[0]) if warm else None
-            ),
         )
         return problem, v0 is not None
 
     def _finish(self, result: EigenResult, warm_used: bool, batched: bool = False):
-        block = result.warm_block
+        block = result.vectors
         if block is not None and self.warm_start:
             self._warm_blocks[block.shape[0]] = block
-            if result.spectral_interval is not None:
-                self._intervals[block.shape[0]] = result.spectral_interval
-            else:
-                # The backend could not vouch for an interval (hint was
-                # found stale, or the backend does not estimate one);
-                # drop ours so the next solve re-estimates fresh.
-                self._intervals.pop(block.shape[0], None)
         self.stats.record(
             result, warm=warm_used, batched=batched, coarse=self.tol > 0
         )

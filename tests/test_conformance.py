@@ -1,7 +1,7 @@
 """Cross-backend conformance harness: one differential test matrix.
 
-The codebase now exposes 3 eigensolver backends x 3 neighbor backends x 2
-objective evaluation paths, and per-PR parity checks only ever compared
+The codebase exposes 2 single-problem eigensolver backends x 3 neighbor
+backends x 2 objective evaluation paths, and per-PR parity checks only ever compared
 the pair a PR introduced.  This suite sweeps the full combinatorial
 surface through the *end-to-end* pipeline (``cluster_mvag`` with SGLA+)
 and asserts every combination lands on the same optimum:
@@ -34,7 +34,7 @@ from repro.datasets.generator import generate_mvag
 from repro.datasets.running_example import running_example_mvag
 from repro.evaluation.clustering_metrics import clustering_report
 
-EIGEN_BACKENDS = ("dense", "lanczos", "chebyshev")
+EIGEN_BACKENDS = ("dense", "lanczos")
 KNN_BACKENDS = ("exact", "exact-f32", "rp-forest")
 FAST_PATHS = (True, False)
 
@@ -50,9 +50,8 @@ W_TOL = 1e-6
 @pytest.fixture(scope="module")
 def conformance_mvag():
     """Well-separated 3-cluster MVAG, sized so every eigen backend keeps
-    its own numerics (n > DENSE_CUTOFF would force nothing; chebyshev's
-    ``5 t >= n`` dense fallback needs n > 20) while the whole 18-run
-    matrix stays fast."""
+    its own numerics (n > DENSE_CUTOFF would force nothing) while the
+    whole 12-run matrix stays fast."""
     return generate_mvag(
         n_nodes=400,
         n_clusters=3,

@@ -12,7 +12,6 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.core.eigen import bottom_eigenpairs, bottom_eigenvalues
 from repro.core.fastpath import StackedLaplacians
 from repro.core.laplacian import (
     aggregate_laplacians,
@@ -23,6 +22,7 @@ from repro.core.objective import SpectralObjective, objective_surface
 from repro.core.sgla import SGLA, SGLAConfig
 from repro.core.sgla_plus import SGLAPlus
 from repro.datasets.generator import generate_mvag
+from repro.solvers import bottom_eigenpairs, bottom_eigenvalues
 from repro.utils.errors import ShapeError, ValidationError
 from repro.utils.sparse import to_dense
 
@@ -187,22 +187,18 @@ class TestEigenParity:
         np.testing.assert_allclose(parts.eigenvalues, dense_values, atol=1e-8)
         assert parts.connectivity == pytest.approx(0.0, abs=1e-8)
 
-    def test_matrix_free_operator_parity(self):
-        laplacians = random_laplacians(70, 4, seed=41)
-        fast = SpectralObjective(
-            laplacians,
-            k=2,
-            eigen_method="lanczos",
-            fast_path=True,
-            matrix_free=True,
-        )
+    def test_stack_operator_parity(self):
+        """The matrix-free ``StackedLaplacians.operator`` solves to the
+        same spectrum as the materialized ``combine``."""
+        stack = StackedLaplacians(random_laplacians(70, 4, seed=41))
         weights = np.array([0.4, 0.3, 0.2, 0.1])
+        operator_values = bottom_eigenvalues(
+            stack.operator(weights), 3, method="lanczos", seed=0
+        )
         dense_values = bottom_eigenvalues(
-            aggregate_laplacians(laplacians, weights), 3, method="dense"
+            stack.combine(weights), 3, method="dense"
         )
-        np.testing.assert_allclose(
-            fast.components(weights).eigenvalues, dense_values, atol=1e-8
-        )
+        np.testing.assert_allclose(operator_values, dense_values, atol=1e-8)
 
     def test_linear_operator_input_to_eigen(self):
         laplacian = random_laplacians(45, 1, seed=51)[0]

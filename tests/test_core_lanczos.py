@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.eigen import bottom_eigenpairs
 from repro.core.laplacian import normalized_laplacian
 from repro.core.lanczos import (
     lanczos_bottom_eigenpairs,
     lanczos_top_eigenpairs,
 )
+from repro.solvers import bottom_eigenpairs
 from repro.utils.errors import ValidationError
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.eigen import bottom_eigenvalues
 from repro.core.laplacian import normalized_laplacian
 from repro.core.objective import (
     SpectralObjective,
     objective_surface,
     objective_variant,
 )
+from repro.solvers import bottom_eigenvalues
 from repro.utils.errors import ValidationError
 
 

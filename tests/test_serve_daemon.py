@@ -307,10 +307,13 @@ class TestAbandonment:
                     "job": {"kind": "cluster", "profile": PROFILE},
                 })
                 sock.close()  # abandon without reading the reply
-            # Every slot and byte must come back.
+            # Every slot and byte must come back.  An empty queue alone
+            # also holds before any connection thread has enqueued its
+            # submit, so wait for every cancellation to be counted too.
             assert wait_for(
                 lambda: daemon.queue.depth == 0
-                and daemon.queue.inflight_bytes == 0,
+                and daemon.queue.inflight_bytes == 0
+                and daemon.stats.total("cancelled") == 100,
                 timeout=20.0,
             ), (daemon.queue.depth, daemon.queue.inflight_bytes)
             assert daemon.stats.total("cancelled") == 100
@@ -329,6 +332,15 @@ class TestAbandonment:
         assert isinstance(reply_to_error(reply), ValidationError)
         with pytest.raises(ValidationError):
             client.submit({"kind": "alchemy", "profile": PROFILE})
+
+    def test_retired_eigen_backend_override_rejected(self, client):
+        with pytest.raises(ValidationError) as excinfo:
+            client.submit({
+                "kind": "objective", "profile": PROFILE,
+                "weights": simplex_weights(2),
+                "config": {"eigen_backend": "chebyshev"},
+            })
+        assert "available: batch, dense, lanczos" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------- #

@@ -28,9 +28,7 @@ from repro.solvers import (
 )
 from repro.utils.errors import ValidationError
 
-ALL_BACKENDS = (
-    "dense", "lanczos", "lobpcg", "shift-invert", "chebyshev", "batch"
-)
+ALL_BACKENDS = ("dense", "lanczos", "batch")
 
 
 def running_example_laplacian(weights=(0.6, 0.4)):
@@ -67,9 +65,7 @@ class TestCrossBackendParity:
         ref_projector = ref_vectors @ ref_vectors.T
         np.testing.assert_allclose(projector, ref_projector, atol=1e-6)
 
-    @pytest.mark.parametrize(
-        "backend", ("lanczos", "lobpcg", "shift-invert", "chebyshev")
-    )
+    @pytest.mark.parametrize("backend", ("lanczos", "batch"))
     def test_larger_graph_eigenvalues(self, backend):
         laplacian, _ = generated_laplacian()
         reference = bottom_eigenvalues(laplacian, 4, method="dense")
@@ -86,6 +82,23 @@ class TestCrossBackendParity:
 class TestRegistry:
     def test_builtins_registered(self):
         assert set(ALL_BACKENDS) <= set(available_backends())
+
+    def test_registry_holds_exactly_the_surviving_backends(self):
+        assert available_backends() == ("batch", "dense", "lanczos")
+
+    @pytest.mark.parametrize("retired", ("chebyshev", "lobpcg", "shift-invert"))
+    def test_retired_backend_rejected_through_pipeline(self, retired):
+        from repro.core.pipeline import cluster_mvag
+        from repro.core.sgla import SGLAConfig
+
+        with pytest.raises(ValidationError) as excinfo:
+            cluster_mvag(
+                running_example_mvag(),
+                config=SGLAConfig(eigen_backend=retired),
+            )
+        message = str(excinfo.value)
+        assert retired in message
+        assert "available: batch, dense, lanczos" in message
 
     def test_unknown_key_lists_alternatives(self):
         with pytest.raises(ValidationError) as excinfo:
@@ -137,22 +150,6 @@ class TestDispatchPolicy:
     def test_near_full_spectrum_falls_back_dense(self):
         assert resolve_method(6, 5, "lanczos") == "dense"
 
-    def test_lobpcg_small_block_ratio_falls_back_dense(self):
-        """Blocks in scipy's t >= n/5 territory go dense instead of
-        tripping lobpcg's small-problem fragility."""
-        assert resolve_method(24, 5, "lobpcg") == "dense"
-        assert resolve_method(1000, 4, "lobpcg") == "lobpcg"
-
-    def test_shift_invert_operator_reroutes(self):
-        assert resolve_method(5000, 4, "shift-invert", is_operator=True) == "lanczos"
-
-    def test_lobpcg_small_n_end_to_end(self):
-        """The old per-caller guard is now the registry's job: a tiny
-        lobpcg request runs (via dense) and is still correct."""
-        laplacian = running_example_laplacian()
-        reference = bottom_eigenvalues(laplacian, 3, method="dense")
-        values = bottom_eigenvalues(laplacian, 3, method="lobpcg", seed=0)
-        np.testing.assert_allclose(values, reference, atol=1e-10)
 
 
 class TestBatchBackend:
@@ -317,8 +314,8 @@ class TestSolverContext:
 
     def test_warm_start_objective_first_solve_is_exact_cold(self):
         """WarmStartObjective's first (cacheless) evaluation must use the
-        exact machine-precision path, not an iteration-capped LOBPCG run
-        from a random block — and still donate its Ritz block."""
+        exact machine-precision path, not the context's iteration-capped
+        solve — and still donate its Ritz block."""
         from repro.dynamic.incremental import WarmStartObjective
 
         _, laplacians = generated_laplacian(n=800)
@@ -381,17 +378,7 @@ class TestSolverContext:
             )
 
 
-class TestShimCompatibility:
-    def test_core_eigen_reexports(self):
-        from repro.core import eigen
-
-        laplacian = running_example_laplacian()
-        values, vectors = eigen.bottom_eigenpairs(laplacian, 3)
-        assert values.shape == (3,) and vectors.shape == (8, 3)
-        assert eigen.fiedler_value(laplacian) > 0
-        assert eigen.resolve_method(100, 3, "auto") == "dense"
-        assert eigen.DENSE_CUTOFF == 600
-
+class TestOperatorInput:
     def test_operator_input_still_supported(self):
         laplacian, _ = generated_laplacian()
         operator = sp.linalg.aslinearoperator(laplacian)
