@@ -130,7 +130,9 @@ def bench_dead_fleet_ladder(mvag) -> dict:
         quarantine_cooldown=600.0,
     ) as shard:
         healthy = build_view_laplacians(mvag, knn_k=10, shard=shard)
-        shard.remote_fleet().kill_all()
+        processes = shard.remote_fleet().processes
+        for address in processes.addresses():
+            processes.member(address).kill()
         # Arm faults on the process rung so the walk reaches serial:
         # items arrive there with one failed (remote) attempt behind
         # them, crash at attempt 1, and run clean at attempt 2.

@@ -26,6 +26,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 # Importable both under pytest (benchmarks/conftest.py) and as a script.
@@ -37,9 +38,10 @@ import numpy as np
 from harness import emit, emit_json, format_table
 from repro.datasets.profiles import load_profile_mvag
 from repro.serve import ServeClient, ServeConfig, ServeDaemon
-from repro.serve.fleet import FleetManager
 from repro.serve.ring import HashRing, remap_fraction, route_key
+from repro.serve.daemon import spawn_daemon
 from repro.serve.router import Router, RouterConfig
+from repro.utils.proc import Fleet
 
 PROFILE = "rm_small"
 REMAP_CEILING_FACTOR = 1.5  # remap <= 1.5/N of keys on one removal
@@ -83,7 +85,8 @@ def leg_chaos(profile: str, n_seeds: int, drivers: int) -> dict:
     results: dict = {}
     errors: list = []
     lock = threading.Lock()
-    with FleetManager(3, argv_extra=["--workers", "1"]) as fleet:
+    daemons = partial(spawn_daemon, argv_extra=["--workers", "1"])
+    with Fleet(daemons, 3) as fleet:
         addrs = fleet.addresses()
         config = RouterConfig(
             daemons=tuple(addrs), replication=2, health_interval=0.2,
@@ -124,7 +127,7 @@ def leg_chaos(profile: str, n_seeds: int, drivers: int) -> dict:
             for thread in threads:
                 thread.start()
             time.sleep(0.1)  # traffic in flight
-            fleet.kill_one(victim)  # SIGKILL, mid-stream
+            fleet.member(victim).kill()  # SIGKILL, mid-stream
             for thread in threads:
                 thread.join(timeout=300)
             # Deterministic tail: the victim's own keys, post-mortem —

@@ -511,7 +511,9 @@ def leg_chaos(profile: str, requests: int) -> dict:
                 # Kill every spawned worker fleet mid-service; with
                 # respawn off the remote rung is gone for good.
                 for context in contexts:
-                    context.remote_fleet().kill_all()
+                    processes = context.remote_fleet().processes
+                    for address in processes.addresses():
+                        processes.member(address).kill()
                 after = [served_outcome(client, s) for s in seeds]
                 health = client.health(timeout=30.0)
     return {

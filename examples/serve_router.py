@@ -12,10 +12,12 @@ serve-stats`` command renders.
 Run:  python examples/serve_router.py
 """
 
+from functools import partial
+
 import numpy as np
 
-from repro.serve import ServeClient
-from repro.serve.fleet import FleetManager, spawn_router
+from repro.serve import ServeClient, spawn_daemon, spawn_router
+from repro.utils.proc import Fleet
 
 PROFILE = "rm_small"
 R = 11  # rm_small's view count
@@ -30,7 +32,8 @@ def main() -> None:
     #       --daemons hostA:7641,hostB:7641,hostC:7641 \
     #       --replication 2 --hedge-quantile 0.95
     # Here everything is local on ephemeral ports.
-    with FleetManager(3, argv_extra=["--workers", "2"]) as fleet:
+    daemons = partial(spawn_daemon, argv_extra=["--workers", "2"])
+    with Fleet(daemons, 3) as fleet:
         print(f"fleet: {', '.join(fleet.addresses())}")
         router = spawn_router(fleet.addresses())
         print(f"router ready at {router.address} (pid {router.process.pid})")
@@ -61,7 +64,7 @@ def main() -> None:
                 # router fails over to a sibling replica; the daemons
                 # evaluate cold, so the detoured result is
                 # bit-identical — failover changes WHERE, never WHAT.
-                fleet.kill_one(home)
+                fleet.member(home).kill()
                 print(f"SIGKILLed {home}")
                 detoured = client.submit(dict(job))
                 assert detoured["routed_to"] != home

@@ -50,9 +50,11 @@ On top of single daemons sits the **replicated front tier**
 consistent-hash ring (:mod:`repro.serve.ring`) keyed by dataset
 identity so daemon caches stay warm, health-checks every daemon,
 wraps dispatch in per-daemon circuit breakers with deadline-aware
-failover and optional hedged requests
-(:mod:`repro.serve.router`), and :class:`~repro.serve.fleet.
-FleetManager` owns the daemon subprocesses themselves.  Gate:
+failover and optional hedged requests (:mod:`repro.serve.router`).
+Daemons and routers share one network core: the framed-TCP listener
+:class:`~repro.serve.server.FramedServer`, and the subprocess layer
+:mod:`repro.utils.proc` (``spawn_daemon`` / ``spawn_router`` handles;
+a :class:`~repro.utils.proc.Fleet` keeps N daemons running).  Gate:
 ``benchmarks/bench_router.py`` (chaos SIGKILL mid-traffic with
 bit-identity, membership-churn remap fraction).
 """
@@ -60,7 +62,6 @@ bit-identity, membership-churn remap fraction).
 from repro.serve.client import ServeClient
 from repro.serve.config import RouterConfig, ServeConfig
 from repro.serve.daemon import ServeDaemon, spawn_daemon
-from repro.serve.fleet import FleetManager, spawn_router
 from repro.serve.queue import AdmissionQueue, RequestEntry, TokenBucket
 from repro.serve.results import ResultCache, result_key
 from repro.serve.ring import HashRing, remap_fraction, route_key
@@ -69,6 +70,7 @@ from repro.serve.router import (
     Router,
     RouterDaemon,
     RouteStats,
+    spawn_router,
 )
 from repro.serve.stats import ServeStats
 from repro.utils.errors import (
@@ -84,7 +86,6 @@ __all__ = [
     "AdmissionQueue",
     "CircuitBreaker",
     "DeadlineExceeded",
-    "FleetManager",
     "HashRing",
     "NoHealthyReplica",
     "RequestEntry",

@@ -1,8 +1,9 @@
 """``python -m repro.serve --bind HOST:PORT`` — run the serving daemon.
 
-Startup announces ``REPRO-SERVE-READY host port pid`` on stdout (port 0
-asks the kernel for a free port; the announced port is the real one) —
-the spawn handshake :func:`repro.serve.daemon.spawn_daemon` blocks on.
+Startup announces the ready line of :func:`repro.utils.proc.announce`
+on stdout (port 0 asks the kernel for a free port; the announced port is
+the real one) — the spawn handshake :func:`repro.serve.daemon.
+spawn_daemon` blocks on.
 
 Lifecycle: SIGTERM (and SIGINT) triggers a graceful drain — new
 admissions are refused with :class:`~repro.utils.errors.ServerDraining`,
@@ -16,16 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import signal
 import sys
-import threading
 from typing import Optional
 
 from repro.serve.config import ServeConfig
 from repro.serve.daemon import ServeDaemon
-from repro.shard.remote import DEFAULT_AUTHKEY
-from repro.utils.errors import ReproError, ValidationError
+from repro.serve.server import run_until_signalled
+from repro.shard.remote import resolve_authkey
+from repro.utils.errors import ValidationError
 
 
 def _parse_weights(pairs) -> Optional[dict]:
@@ -139,15 +138,8 @@ def main(argv: Optional[list] = None) -> int:
              "env var, else the built-in development key)",
     )
     args = parser.parse_args(argv)
-    if args.authkey is not None:
-        authkey = args.authkey.encode("latin-1")
-    elif os.environ.get("REPRO_SHARD_AUTHKEY"):
-        authkey = os.environ["REPRO_SHARD_AUTHKEY"].encode("latin-1")
-    else:
-        authkey = DEFAULT_AUTHKEY
-
-    try:
-        config = ServeConfig(
+    daemon = run_until_signalled(lambda: ServeDaemon(
+        ServeConfig(
             bind=args.bind,
             queue_depth=args.queue_depth,
             max_inflight_mb=args.max_inflight_mb,
@@ -163,31 +155,12 @@ def main(argv: Optional[list] = None) -> int:
             result_cache=not args.no_result_cache,
             max_results_mb=args.max_results_mb,
             priority_aging=args.priority_aging,
-            authkey=authkey,
-        )
-        daemon = ServeDaemon(config, shard_factory=_shard_factory(args))
-        address = daemon.start()
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
+            authkey=resolve_authkey(args.authkey),
+        ),
+        shard_factory=_shard_factory(args),
+    ), args.bind)
+    if daemon is None:
         return 2
-    except OSError as error:
-        print(f"error: cannot bind {args.bind}: {error}", file=sys.stderr)
-        return 2
-
-    host, port = address.rsplit(":", 1)
-    print(f"REPRO-SERVE-READY {host} {port} {os.getpid()}", flush=True)
-
-    # Signal handlers only set an event (async-signal-safe); the main
-    # thread owns the actual drain + teardown sequence.
-    shutdown = threading.Event()
-
-    def _request_shutdown(signum, frame):
-        shutdown.set()
-
-    signal.signal(signal.SIGTERM, _request_shutdown)
-    signal.signal(signal.SIGINT, _request_shutdown)
-
-    shutdown.wait()
     drained = daemon.stop(drain=True)
     from repro.serve.jobs import cache_summary
     from repro.serve.results import results_summary
@@ -201,7 +174,7 @@ def main(argv: Optional[list] = None) -> int:
     print(line, file=sys.stderr)
     if not drained:
         print(
-            f"serve: drain grace ({config.drain_grace}s) expired with "
+            f"serve: drain grace ({daemon.config.drain_grace}s) expired with "
             f"work in flight",
             file=sys.stderr,
         )

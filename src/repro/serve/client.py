@@ -33,6 +33,7 @@ from repro.shard.remote import (
     CONNECT_TIMEOUT,
     DEFAULT_AUTHKEY,
     FrameCorrupted,
+    connect,
     parse_address,
     recv_frame,
     send_frame,
@@ -42,8 +43,9 @@ from repro.utils.errors import ServeError
 #: wire-latency allowance on top of a request deadline.
 REPLY_GRACE = 10.0
 
-#: job kinds safe to resend after transport loss (deterministic,
-#: read-only pipelines; mirrors ``repro.serve.router.IDEMPOTENT_KINDS``).
+#: job kinds safe to resend after transport loss or to re-dispatch on
+#: another replica (deterministic, read-only pipelines); a future
+#: mutating job kind must not be listed here.
 IDEMPOTENT_KINDS = frozenset({"cluster", "embed", "objective"})
 
 #: transport failures that warrant reconnect-and-resend on idempotent
@@ -101,14 +103,8 @@ class ServeClient:
     # ------------------------------------------------------------------ #
 
     def connect(self) -> None:
-        if self._sock is not None:
-            return
-        host, port = parse_address(self.address, what="serve daemon")
-        sock = socket.create_connection(
-            (host, port), timeout=CONNECT_TIMEOUT
-        )
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
+        if self._sock is None:
+            self._sock = connect(self.address, what="serve daemon")
 
     def close(self) -> None:
         sock, self._sock = self._sock, None

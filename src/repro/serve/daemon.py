@@ -2,7 +2,8 @@
 
 Thread anatomy of one :class:`ServeDaemon`:
 
-* one **accept** thread hands each TCP connection to a
+* the :class:`~repro.serve.server.FramedServer`'s **accept** thread
+  hands each TCP connection to a
 * **connection** thread (one per client, cheap: it parses frames,
   admits into the :class:`~repro.serve.queue.AdmissionQueue`, consults
   the deterministic :class:`~repro.serve.results.ResultCache` — a hit
@@ -30,12 +31,9 @@ exposes the mechanism (:meth:`drain` + :meth:`stop`).
 
 from __future__ import annotations
 
-import os
 import pickle
 import select
 import socket
-import subprocess
-import sys
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
@@ -48,18 +46,17 @@ from repro.serve.jobs import (
     run_embed,
     run_objective_group,
 )
-from repro.serve.protocol import check_request, error_reply
+from repro.serve.protocol import error_reply
 from repro.serve.queue import AdmissionQueue, RequestEntry
 from repro.serve.results import ResultCache, result_key
+from repro.serve.server import FramedServer
 from repro.serve.stats import ServeStats
-from repro.shard.remote import parse_address, recv_frame, send_frame
-from repro.utils.errors import ReproError, ServeError
+from repro.utils.errors import DeadlineExceeded, ServeError
+from repro.utils.proc import Spawned, spawn
 
 #: slice used when a connection thread waits on an entry — bounds how
 #: late a deadline reply or a disconnect cleanup can be.
 WAIT_SLICE = 0.05
-#: how long spawn_daemon waits for the ready line.
-SPAWN_TIMEOUT = 60.0
 
 
 def _socket_eof(sock: socket.socket) -> bool:
@@ -126,41 +123,31 @@ class ServeDaemon:
         self.worker_gate = threading.Event()
         self.worker_gate.set()
         self._parked: set = set()
-        self._listener: Optional[socket.socket] = None
-        self._threads: List[threading.Thread] = []
+        self.server = FramedServer(
+            self.config.bind,
+            self.config.authkey,
+            submit=self._handle_submit,
+            health=self.health_snapshot,
+            drain=self.drain,
+            name="serve",
+        )
         self._workers: List[threading.Thread] = []
         self._shards: List[Any] = []
         self._shards_lock = threading.Lock()
         self._stopping = threading.Event()
-        self._drain_requested = threading.Event()
-        self.address: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
 
+    @property
+    def address(self) -> Optional[str]:
+        """The bound ``host:port`` (``None`` before :meth:`start`)."""
+        return self.server.address
+
     def start(self) -> str:
         """Bind, listen, start threads; returns the actual ``host:port``."""
-        host, port = parse_address(
-            self.config.bind, allow_port_zero=True, what="serve bind"
-        )
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((host, port))
-            listener.listen(128)
-        except OSError:
-            listener.close()
-            raise
-        listener.settimeout(0.2)
-        self._listener = listener
-        bound_host, bound_port = listener.getsockname()[:2]
-        self.address = f"{bound_host}:{bound_port}"
-        accept = threading.Thread(
-            target=self._accept_loop, name="repro-serve-accept", daemon=True
-        )
-        accept.start()
-        self._threads.append(accept)
+        self.server.start()
         for index in range(self.config.workers):
             worker = threading.Thread(
                 target=self._worker_loop,
@@ -173,7 +160,6 @@ class ServeDaemon:
 
     def drain(self) -> None:
         """Stop admitting; in-flight work keeps running (SIGTERM step 1)."""
-        self._drain_requested.set()
         self.queue.drain()
 
     def stop(self, drain: bool = True, grace: Optional[float] = None) -> bool:
@@ -190,11 +176,7 @@ class ServeDaemon:
             drained = self.queue.wait_idle(timeout=grace)
         self._stopping.set()
         self.worker_gate.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self.server.stop()
         for worker in self._workers:
             worker.join(timeout=5)
         with self._shards_lock:
@@ -262,65 +244,8 @@ class ServeDaemon:
         }
 
     # ------------------------------------------------------------------ #
-    # Accept / connection threads
+    # Connection threads: submit
     # ------------------------------------------------------------------ #
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed: shutting down
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="repro-serve-conn",
-                daemon=True,
-            )
-            thread.start()
-
-    def _serve_connection(self, sock: socket.socket) -> None:
-        try:
-            while not self._stopping.is_set():
-                try:
-                    sock.settimeout(None)
-                    message = recv_frame(sock, self.config.authkey)
-                except (ConnectionError, socket.timeout, OSError):
-                    return
-                try:
-                    reply = self._handle(sock, check_request(message))
-                except ReproError as error:
-                    reply = error_reply(error)
-                except Exception as error:  # defensive: never kill the conn
-                    reply = error_reply(error)
-                if reply is None:
-                    return  # client vanished mid-request
-                try:
-                    send_frame(sock, reply, self.config.authkey)
-                except (ConnectionError, OSError):
-                    return
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _handle(
-        self, sock: socket.socket, message: Dict[str, Any]
-    ) -> Optional[Dict[str, Any]]:
-        op = message["op"]
-        if op == "ping":
-            return {"ok": True, "pid": os.getpid()}
-        if op in ("health", "stats"):
-            # Inline, never queued: monitoring works under overload.
-            return self.health_snapshot()
-        if op == "drain":
-            self.drain()
-            return {"ok": True, "draining": True}
-        return self._handle_submit(sock, message)
 
     def _handle_submit(
         self, sock: socket.socket, message: Dict[str, Any]
@@ -365,8 +290,6 @@ class ServeDaemon:
             if entry.expired():
                 # Structured reply *at* the deadline, even if the job is
                 # still running (its result is discarded on arrival).
-                from repro.utils.errors import DeadlineExceeded
-
                 self.queue.cancel(entry, reason="deadline")
                 return error_reply(DeadlineExceeded(
                     "deadline expired before a result was produced",
@@ -507,84 +430,18 @@ class ServeDaemon:
 # Subprocess helper (tests, benchmarks, examples)
 # ---------------------------------------------------------------------- #
 
-class SpawnedDaemon:
-    """A daemon subprocess owned by this process (mirrors _SpawnedWorker)."""
-
-    def __init__(self, process: subprocess.Popen, address: str) -> None:
-        self.process = process
-        self.address = address
-
-    def alive(self) -> bool:
-        return self.process.poll() is None
-
-    def terminate(self) -> None:
-        """Send SIGTERM (the graceful-drain signal)."""
-        if self.alive():
-            self.process.terminate()
-
-    def wait(self, timeout: float = 30.0) -> Optional[int]:
-        try:
-            return self.process.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return None
-
-    def kill(self) -> None:
-        if self.alive():
-            try:
-                self.process.kill()
-            except OSError:
-                pass
-        try:
-            self.process.wait(timeout=5)
-        except Exception:
-            pass
-        for stream in (self.process.stdout, self.process.stderr):
-            if stream is not None:
-                try:
-                    stream.close()
-                except OSError:
-                    pass
-
-
 def spawn_daemon(
     argv_extra: Optional[List[str]] = None,
     bind_host: str = "127.0.0.1",
     capture_stderr: bool = False,
-) -> SpawnedDaemon:
-    """Start ``python -m repro.serve`` and wait for its ready line.
-
-    The daemon binds port 0 and announces
-    ``REPRO-SERVE-READY host port pid`` on stdout (the
-    ``SHARD-WORKER-READY`` convention); we block on that line instead of
-    polling the port.
-    """
-    import repro
-
-    env = dict(os.environ)
-    package_root = str(os.path.dirname(os.path.dirname(repro.__file__)))
-    entries = [package_root] + [p for p in sys.path if p]
-    existing = env.get("PYTHONPATH", "")
-    if existing:
-        entries.append(existing)
-    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(entries))
-    argv = [
-        sys.executable, "-m", "repro.serve", "--bind", f"{bind_host}:0",
-    ] + list(argv_extra or [])
-    process = subprocess.Popen(
-        argv,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE if capture_stderr else subprocess.DEVNULL,
-        text=True,
+) -> Spawned:
+    """Start ``python -m repro.serve`` and wait for its ready line
+    (:func:`repro.utils.proc.spawn`)."""
+    return spawn(
+        "repro.serve",
+        list(argv_extra or []),
+        bind_host=bind_host,
+        capture_stderr=capture_stderr,
+        error=ServeError,
+        what="serve daemon",
     )
-    started = time.monotonic()
-    line = process.stdout.readline() if process.stdout else ""
-    if not line.startswith("REPRO-SERVE-READY"):
-        process.kill()
-        raise ServeError(
-            f"serve daemon failed to start (output: {line!r}, "
-            f"exit={process.poll()}, waited "
-            f"{time.monotonic() - started:.1f}s)"
-        )
-    _, host, port, _pid = line.split()
-    return SpawnedDaemon(process, f"{host}:{port}")

@@ -47,49 +47,37 @@ returns.
 from __future__ import annotations
 
 import argparse
-import os
 import queue as queue_module
-import signal
 import socket
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.serve.client import REPLY_GRACE
+from repro.serve.client import IDEMPOTENT_KINDS, REPLY_GRACE
 from repro.serve.config import RouterConfig
-from repro.serve.protocol import check_request, error_reply, reply_to_error
+from repro.serve.protocol import reply_to_error
 from repro.serve.results import merge_results_snapshots
 from repro.serve.ring import HashRing, route_key
+from repro.serve.server import FramedServer, run_until_signalled
 from repro.serve.stats import ServeStats, percentile
 from repro.shard.remote import (
-    CONNECT_TIMEOUT,
-    FrameCorrupted,
-    FrameError,
+    TRANSPORT_ERRORS,
+    connect,
     parse_address,
     recv_frame,
+    resolve_authkey,
     send_frame,
 )
 from repro.utils.errors import (
     DeadlineExceeded,
     NoHealthyReplica,
-    ReproError,
     ServeError,
     ServerDraining,
     ServerOverloaded,
     ShardError,
-    ValidationError,
 )
-
-#: job kinds safe to re-dispatch (deterministic, read-only pipelines);
-#: a future mutating job kind must not be listed here.
-IDEMPOTENT_KINDS = frozenset({"cluster", "embed", "objective"})
-
-#: transport-level failures: the daemon (or the wire to it) is gone.
-TRANSPORT_ERRORS = (
-    FrameCorrupted, FrameError, ConnectionError, socket.timeout, OSError,
-    EOFError,
-)
+from repro.utils.proc import Spawned, spawn
 
 #: dispatch latency samples kept for the hedging quantile.
 LATENCY_SAMPLES = 512
@@ -362,10 +350,7 @@ class _Endpoint:
         with self._lock:
             if self._idle:
                 return self._idle.pop()
-        host, port = parse_address(self.address, what="router daemon")
-        sock = socket.create_connection((host, port), CONNECT_TIMEOUT)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
+        return connect(self.address, what="router daemon")
 
     def checkin(self, sock: socket.socket) -> None:
         with self._lock:
@@ -520,12 +505,8 @@ class Router:
         monitor = self._monitors.get(address)
         try:
             if monitor is None:
-                host, port = parse_address(address, what="router daemon")
-                monitor = socket.create_connection(
-                    (host, port), self.config.health_timeout
-                )
-                monitor.setsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+                monitor = connect(
+                    address, self.config.health_timeout, what="router daemon"
                 )
                 self._monitors[address] = monitor
             started = time.monotonic()
@@ -1038,42 +1019,34 @@ class Router:
 class RouterDaemon:
     """TCP front of a :class:`Router`: same wire protocol as a daemon.
 
-    One accept thread, one connection thread per client; submits are
-    forwarded synchronously on the connection thread (admission control
-    lives daemon-side — the router adds no second queue, so shed
-    decisions stay where the capacity is known).
+    A :class:`~repro.serve.server.FramedServer` (one accept thread, one
+    connection thread per client); submits are forwarded synchronously
+    on the connection thread (admission control lives daemon-side — the
+    router adds no second queue, so shed decisions stay where the
+    capacity is known).
     """
 
     def __init__(self, config: RouterConfig) -> None:
         self.config = config
         self.router = Router(config)
-        self._listener: Optional[socket.socket] = None
-        self._stopping = threading.Event()
-        self.address: Optional[str] = None
+        self.server = FramedServer(
+            config.bind,
+            config.authkey,
+            submit=self._forward,
+            health=self.router.health_snapshot,
+            drain=self.router.drain,
+            ping={"router": True},
+            name="router",
+        )
 
-    # ------------------------------------------------------------------ #
+    @property
+    def address(self) -> Optional[str]:
+        """The bound ``host:port`` (``None`` before :meth:`start`)."""
+        return self.server.address
 
     def start(self) -> str:
-        host, port = parse_address(
-            self.config.bind, allow_port_zero=True, what="router bind"
-        )
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((host, port))
-            listener.listen(128)
-        except OSError:
-            listener.close()
-            raise
-        listener.settimeout(0.2)
-        self._listener = listener
-        bound_host, bound_port = listener.getsockname()[:2]
-        self.address = f"{bound_host}:{bound_port}"
+        self.server.start()
         self.router.start()
-        thread = threading.Thread(
-            target=self._accept_loop, name="repro-router-accept", daemon=True
-        )
-        thread.start()
         return self.address
 
     def drain(self) -> None:
@@ -1084,12 +1057,7 @@ class RouterDaemon:
         if drain:
             self.router.drain()
             drained = self.router.wait_idle(timeout=grace)
-        self._stopping.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+        self.server.stop()
         self.router.close()
         return drained
 
@@ -1100,58 +1068,9 @@ class RouterDaemon:
     def __exit__(self, *exc_info) -> None:
         self.stop(drain=False)
 
-    # ------------------------------------------------------------------ #
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="repro-router-conn",
-                daemon=True,
-            )
-            thread.start()
-
-    def _serve_connection(self, sock: socket.socket) -> None:
-        try:
-            while not self._stopping.is_set():
-                try:
-                    sock.settimeout(None)
-                    message = recv_frame(sock, self.config.authkey)
-                except (ConnectionError, socket.timeout, OSError):
-                    return
-                try:
-                    reply = self._handle(check_request(message))
-                except ReproError as error:
-                    reply = error_reply(error)
-                except Exception as error:  # defensive
-                    reply = error_reply(error)
-                try:
-                    send_frame(sock, reply, self.config.authkey)
-                except (ConnectionError, OSError):
-                    return
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _handle(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        op = message["op"]
-        if op == "ping":
-            return {"ok": True, "pid": os.getpid(), "router": True}
-        if op in ("health", "stats"):
-            return self.router.health_snapshot()
-        if op == "drain":
-            self.router.drain()
-            return {"ok": True, "draining": True}
+    def _forward(
+        self, sock: socket.socket, message: Dict[str, Any]
+    ) -> Dict[str, Any]:
         return self.router.submit(
             message["job"],
             tenant=message.get("tenant", "default"),
@@ -1215,51 +1134,22 @@ def main(argv: Optional[list] = None) -> int:
              "env var, else the built-in development key)",
     )
     args = parser.parse_args(argv)
-    from repro.shard.remote import DEFAULT_AUTHKEY
-
-    if args.authkey is not None:
-        authkey = args.authkey.encode("latin-1")
-    elif os.environ.get("REPRO_SHARD_AUTHKEY"):
-        authkey = os.environ["REPRO_SHARD_AUTHKEY"].encode("latin-1")
-    else:
-        authkey = DEFAULT_AUTHKEY
-
-    try:
-        config = RouterConfig(
-            daemons=_parse_daemons(args.daemons),
-            bind=args.bind,
-            replication=args.replication,
-            vnodes=args.vnodes,
-            health_interval=args.health_interval,
-            health_timeout=args.health_timeout,
-            breaker_failures=args.breaker_failures,
-            breaker_cooldown=args.breaker_cooldown,
-            hedge_delay=args.hedge_delay,
-            hedge_quantile=args.hedge_quantile,
-            default_deadline=args.default_deadline,
-            authkey=authkey,
-        )
-        daemon = RouterDaemon(config)
-        address = daemon.start()
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
+    daemon = run_until_signalled(lambda: RouterDaemon(RouterConfig(
+        daemons=_parse_daemons(args.daemons),
+        bind=args.bind,
+        replication=args.replication,
+        vnodes=args.vnodes,
+        health_interval=args.health_interval,
+        health_timeout=args.health_timeout,
+        breaker_failures=args.breaker_failures,
+        breaker_cooldown=args.breaker_cooldown,
+        hedge_delay=args.hedge_delay,
+        hedge_quantile=args.hedge_quantile,
+        default_deadline=args.default_deadline,
+        authkey=resolve_authkey(args.authkey),
+    )), args.bind)
+    if daemon is None:
         return 2
-    except OSError as error:
-        print(f"error: cannot bind {args.bind}: {error}", file=sys.stderr)
-        return 2
-
-    host, port = address.rsplit(":", 1)
-    print(f"REPRO-ROUTER-READY {host} {port} {os.getpid()}", flush=True)
-
-    shutdown = threading.Event()
-
-    def _request_shutdown(signum, frame):
-        shutdown.set()
-
-    signal.signal(signal.SIGTERM, _request_shutdown)
-    signal.signal(signal.SIGINT, _request_shutdown)
-
-    shutdown.wait()
     drained = daemon.stop(drain=True, grace=args.drain_grace)
     print(f"route: {daemon.router.stats.summary()}", file=sys.stderr)
     if not drained:
@@ -1269,6 +1159,24 @@ def main(argv: Optional[list] = None) -> int:
             file=sys.stderr,
         )
     return 0
+
+
+def spawn_router(
+    daemons: Sequence[str],
+    argv_extra: Optional[Sequence[str]] = None,
+    bind_host: str = "127.0.0.1",
+    capture_stderr: bool = False,
+) -> Spawned:
+    """Start ``python -m repro.serve.router`` over ``daemons`` and wait
+    for its ready line (:func:`repro.utils.proc.spawn`)."""
+    return spawn(
+        "repro.serve.router",
+        ["--daemons", ",".join(daemons)] + list(argv_extra or []),
+        bind_host=bind_host,
+        capture_stderr=capture_stderr,
+        error=ServeError,
+        what="router",
+    )
 
 
 if __name__ == "__main__":

@@ -39,26 +39,27 @@ import os
 import pickle
 import socket
 import struct
-import subprocess
-import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.shard.base import ShardBackend, TaskFunc
 from repro.shard.plan import ShardPlan
 from repro.shard.registry import register_backend
 from repro.utils.errors import ReproError, ShardError, ValidationError
+from repro.utils.proc import Fleet, Spawned, spawn
 
 MAGIC = b"RSF1"
 _HEADER = struct.Struct(">8s")  # length only; magic/digest handled apart
 DIGEST_SIZE = 16
 DEFAULT_AUTHKEY = b"repro-shard"
 
-#: how long to wait for a spawned worker to print its ready line.
-SPAWN_TIMEOUT = 60.0
 #: connect timeout for the TCP handshake.
 CONNECT_TIMEOUT = 10.0
+#: pending-connection queue of every listener (worker, daemon, router).
+LISTEN_BACKLOG = 128
 
 
 class FrameError(ShardError):
@@ -67,6 +68,11 @@ class FrameError(ShardError):
 
 class FrameCorrupted(FrameError):
     """A frame failed its integrity check — retryable transport loss."""
+
+
+#: transport-level failures: the peer (or the wire to it) is gone —
+#: reset, EOF, timeout, or a damaged or foreign frame.
+TRANSPORT_ERRORS = (FrameError, OSError, EOFError)
 
 
 class RemoteTaskError(Exception):
@@ -185,6 +191,42 @@ def parse_address(
     return host, port_number
 
 
+def listen(bind: str, what: str) -> socket.socket:
+    """A TCP listener on ``bind`` (``host:port``, port 0 = kernel-picked)."""
+    host, port = parse_address(bind, allow_port_zero=True, what=what)
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, port))
+        listener.listen(LISTEN_BACKLOG)
+    except OSError:
+        listener.close()
+        raise
+    return listener
+
+
+def connect(
+    address: str,
+    timeout: Optional[float] = CONNECT_TIMEOUT,
+    what: str = "remote worker",
+) -> socket.socket:
+    """A connected, ``TCP_NODELAY`` socket to ``address``."""
+    host, port = parse_address(address, what=what)
+    sock = socket.create_connection((host, port), timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def resolve_authkey(flag: Optional[str]) -> bytes:
+    """The frame key: the ``--authkey`` flag, else ``REPRO_SHARD_AUTHKEY``,
+    else the development key :data:`DEFAULT_AUTHKEY`."""
+    if flag is not None:
+        return flag.encode("latin-1")
+    if os.environ.get("REPRO_SHARD_AUTHKEY"):
+        return os.environ["REPRO_SHARD_AUTHKEY"].encode("latin-1")
+    return DEFAULT_AUTHKEY
+
+
 class WorkerClient:
     """One parent-side connection to one worker host."""
 
@@ -198,12 +240,7 @@ class WorkerClient:
     def connect(self) -> None:
         if self._sock is not None:
             return
-        host, port = parse_address(self.address)
-        sock = socket.create_connection(
-            (host, port), timeout=CONNECT_TIMEOUT
-        )
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
+        self._sock = connect(self.address)
         reply = self.request({"op": "hello"})
         self.pid = reply.get("pid")
         self.tasks_done = int(reply.get("tasks_done", 0))
@@ -280,93 +317,34 @@ class WorkerClient:
                 pass
 
 
-class _SpawnedWorker:
-    """A worker subprocess this fleet owns (spawn, watch, respawn)."""
-
-    def __init__(self, process: subprocess.Popen, address: str) -> None:
-        self.process = process
-        self.address = address
-
-    def alive(self) -> bool:
-        return self.process.poll() is None
-
-    def kill(self) -> None:
-        if self.alive():
-            try:
-                self.process.kill()
-            except Exception:
-                pass
-        try:
-            self.process.wait(timeout=5)
-        except Exception:
-            pass
-        if self.process.stdout is not None:
-            try:
-                self.process.stdout.close()
-            except Exception:
-                pass
-
-
 def spawn_worker(
     max_tasks: int = 0,
     authkey: bytes = DEFAULT_AUTHKEY,
     bind_host: str = "127.0.0.1",
-) -> _SpawnedWorker:
-    """Start ``python -m repro.shard.worker`` and wait for its address.
-
-    The worker binds port 0 (kernel-assigned) and announces
-    ``SHARD-WORKER-READY host port pid`` on stdout; we block on that
-    line (bounded by the interpreter's import time) instead of polling
-    the port.
-    """
-    import repro
-
-    env = dict(os.environ)
-    # Propagate the parent's full import path, the way multiprocessing's
-    # spawn does: task functions are pickled by reference, so whatever
-    # module defines them (the library, a script, a test module) must be
-    # importable in the worker too.
-    package_root = str(os.path.dirname(os.path.dirname(repro.__file__)))
-    entries = [package_root] + [p for p in sys.path if p]
-    existing = env.get("PYTHONPATH", "")
-    if existing:
-        entries.append(existing)
-    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(entries))
-    env["REPRO_SHARD_AUTHKEY"] = authkey.decode("latin-1")
-    argv = [
-        sys.executable, "-m", "repro.shard.worker",
-        "--bind", f"{bind_host}:0",
-    ]
-    if max_tasks:
-        argv += ["--max-tasks", str(max_tasks)]
-    process = subprocess.Popen(
-        argv,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
+) -> Spawned:
+    """Start ``python -m repro.shard.worker`` and wait for its ready line
+    (:func:`repro.utils.proc.spawn`); the key travels in the child's
+    ``REPRO_SHARD_AUTHKEY``, never on its command line."""
+    return spawn(
+        "repro.shard.worker",
+        ["--max-tasks", str(max_tasks)] if max_tasks else [],
+        bind_host=bind_host,
+        env={"REPRO_SHARD_AUTHKEY": authkey.decode("latin-1")},
+        error=ShardError,
+        what="remote worker",
     )
-    started = time.monotonic()
-    line = process.stdout.readline() if process.stdout else ""
-    if not line.startswith("SHARD-WORKER-READY"):
-        process.kill()
-        raise ShardError(
-            f"remote worker failed to start (output: {line!r}, "
-            f"exit={process.poll()}, waited "
-            f"{time.monotonic() - started:.1f}s)"
-        )
-    _, host, port, _pid = line.split()
-    return _SpawnedWorker(process, f"{host}:{port}")
 
 
 class WorkerFleet:
-    """The parent-side registry of remote workers for one shard context.
+    """The parent-side registry of remote workers for one shard context:
+    one :class:`WorkerClient` per worker.
 
     Two modes, mixable in principle but used one at a time: **spawned**
-    (``spawn`` local worker subprocesses, owned end to end: started
-    lazily, respawned on death or self-recycle, terminated at close)
-    and **external** (fixed ``addresses``, never spawned or respawned —
-    a dead external worker stays dead until its operator restarts it,
+    (``spawn`` local worker subprocesses, owned by the
+    :class:`~repro.utils.proc.Fleet` in :attr:`processes`: started
+    lazily, respawned on death or self-recycle, killed at close) and
+    **external** (fixed ``addresses``, never spawned or respawned — a
+    dead external worker stays dead until its operator restarts it,
     though the director's quarantine cooldown keeps re-probing it).
     """
 
@@ -383,46 +361,38 @@ class WorkerFleet:
                 "a WorkerFleet needs addresses or a spawn count"
             )
         self._external = list(addresses or [])
-        self._spawn_target = int(spawn)
-        self.max_tasks = int(max_tasks)
-        self.respawn = bool(respawn)
         self.authkey = authkey
-        self._spawned: List[_SpawnedWorker] = []
+        self.processes: Optional[Fleet] = None
+        if spawn >= 1:
+            self.processes = Fleet(
+                partial(spawn_worker, int(max_tasks), authkey),
+                int(spawn),
+                respawn=respawn,
+            )
         self._clients: Dict[str, WorkerClient] = {}
-        self._started = False
-
-    # ------------------------------------------------------------------ #
+        self._lock = threading.Lock()
 
     def ensure(self) -> None:
-        """Bring the fleet up (idempotent): spawn/connect + registration."""
-        if not self._started:
-            for address in self._external:
-                parse_address(address)  # fail fast on typos
-                self._clients[address] = WorkerClient(address, self.authkey)
-            for _ in range(self._spawn_target):
-                self._spawn_one()
-            self._started = True
-        elif self.respawn:
-            # Heartbeat pass for spawned workers: replace dead processes
-            # (a clean self-recycle exit or a crash) before dispatch.
-            for worker in list(self._spawned):
-                if not worker.alive():
-                    self._forget(worker)
-                    self._spawn_one()
+        """Bring the fleet up (idempotent); replace dead spawned workers
+        (a clean self-recycle exit or a crash) before dispatch."""
+        for address in self._external:
+            parse_address(address)  # fail fast on typos
+        if self.processes is not None:
+            self.processes.ensure()
+        self._sync()
 
-    def _spawn_one(self) -> None:
-        worker = spawn_worker(self.max_tasks, self.authkey)
-        self._spawned.append(worker)
-        self._clients[worker.address] = WorkerClient(
-            worker.address, self.authkey
-        )
-
-    def _forget(self, worker: _SpawnedWorker) -> None:
-        worker.kill()
-        self._spawned.remove(worker)
-        client = self._clients.pop(worker.address, None)
-        if client is not None:
-            client.close()
+    def _sync(self) -> None:
+        """One client per current worker: open new ones, close stale."""
+        spawned = self.processes.addresses() if self.processes else []
+        current = self._external + spawned
+        with self._lock:
+            for worker_id in set(self._clients) - set(current):
+                self._clients.pop(worker_id).close()
+            for worker_id in current:
+                if worker_id not in self._clients:
+                    self._clients[worker_id] = WorkerClient(
+                        worker_id, self.authkey
+                    )
 
     def worker_ids(self) -> List[str]:
         return sorted(self._clients)
@@ -431,50 +401,37 @@ class WorkerFleet:
         return self._clients[worker_id]
 
     def mark_dead(self, worker_id: str) -> None:
-        """Drop the connection; respawn if the worker was ours and died."""
-        client = self._clients.get(worker_id)
-        if client is not None:
-            client.close()
-        for worker in list(self._spawned):
-            if worker.address == worker_id and not worker.alive():
-                self._forget(worker)
-                if self.respawn:
-                    self._spawn_one()
-                break
+        """Drop the connection; replace the worker if ours and dead."""
+        self._retire(worker_id, wait=None)
 
     def recycled(self, worker_id: str) -> None:
         """A worker announced self-recycling: let it exit, replace it."""
+        self._retire(worker_id, wait=10.0)
+
+    def _retire(self, worker_id: str, wait: Optional[float]) -> None:
+        """Close ``worker_id``'s connection; replace a spawned worker after
+        up to ``wait`` seconds for its exit (``None``: only if dead)."""
         client = self._clients.get(worker_id)
         if client is not None:
             client.close()
-        for worker in list(self._spawned):
-            if worker.address == worker_id:
-                try:
-                    worker.process.wait(timeout=10)
-                except Exception:
-                    pass
-                self._forget(worker)
-                if self.respawn:
-                    self._spawn_one()
-                break
-
-    def kill_all(self) -> None:
-        """Hard-kill every spawned worker (chaos tests' dead-fleet lever)."""
-        for worker in self._spawned:
-            try:
-                worker.process.kill()
-            except Exception:
-                pass
+        processes = self.processes
+        if processes is None or worker_id not in processes.addresses():
+            return
+        member = processes.member(worker_id)
+        if wait is not None:
+            member.wait(timeout=wait)
+        elif member.alive():
+            return
+        processes.replace(worker_id)
+        self._sync()
 
     def close(self) -> None:
         for client in self._clients.values():
             client.shutdown()
             client.close()
         self._clients.clear()
-        for worker in list(self._spawned):
-            worker.kill()
-        self._spawned.clear()
-        self._started = False
+        if self.processes is not None:
+            self.processes.close()
 
 
 class RemoteShardBackend(ShardBackend):
@@ -598,10 +555,7 @@ class RemoteShardBackend(ShardBackend):
                     attempts=attempt,
                 ))
                 return
-            except (
-                FrameCorrupted, FrameError, ConnectionError, OSError,
-                socket.timeout, EOFError, pickle.UnpicklingError,
-            ) as error:
+            except TRANSPORT_ERRORS + (pickle.UnpicklingError,) as error:
                 # Transport loss: dead worker, dropped reply, damaged
                 # frame, or deadline expiry — retryable, attributed.
                 client.close()

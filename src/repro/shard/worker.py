@@ -5,9 +5,15 @@ protocol of :mod:`repro.shard.remote`, one connection at a time (the
 parent keeps a persistent connection per worker; concurrency comes from
 running many workers, matching the one-process-one-task model of the
 pool backend).  On startup the worker binds — port ``0`` asks the kernel
-for a free port — and announces ``SHARD-WORKER-READY host port pid`` on
-stdout, which is the spawn handshake :func:`repro.shard.remote.
-spawn_worker` blocks on.
+for a free port — and announces the ready line of
+:func:`repro.utils.proc.announce` on stdout, which is the spawn
+handshake :func:`repro.shard.remote.spawn_worker` blocks on.
+
+The daemon and the router serve many clients at once through
+:class:`repro.serve.server.FramedServer`; the worker deliberately keeps
+this serial loop instead.  One task per process is its concurrency
+model, and its crash / drop / corrupt / recycle faults act on the whole
+process, which a shared thread-per-connection server would blur.
 
 Operations: ``hello`` / ``ping`` (registration + heartbeat, reply
 carries pid and the task counter), ``run`` (execute a shard via the same
@@ -41,10 +47,13 @@ from repro.shard.faults import FaultInjected
 from repro.shard.remote import (
     DEFAULT_AUTHKEY,
     FrameError,
+    listen,
     recv_frame,
+    resolve_authkey,
     send_frame,
 )
 from repro.utils.errors import ReproError, ShardError
+from repro.utils.proc import announce
 
 
 class _Recycle(Exception):
@@ -140,18 +149,9 @@ def _serve_connection(
 
 def serve(bind: str, max_tasks: int = 0,
           authkey: bytes = DEFAULT_AUTHKEY) -> None:
-    from repro.shard.remote import parse_address
-
-    host, port = parse_address(
-        bind, allow_port_zero=True, what="worker bind"
-    )
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen(4)
-    actual_host, actual_port = listener.getsockname()[:2]
-    print(f"SHARD-WORKER-READY {actual_host} {actual_port} {os.getpid()}",
-          flush=True)
+    listener = listen(bind, what="worker bind")
+    host, port = listener.getsockname()[:2]
+    announce(f"{host}:{port}")
     state = {"tasks_done": 0}
     try:
         while True:
@@ -191,14 +191,12 @@ def main(argv: Optional[list] = None) -> int:
              "env var, else the built-in development key)",
     )
     args = parser.parse_args(argv)
-    if args.authkey is not None:
-        authkey = args.authkey.encode("latin-1")
-    elif os.environ.get("REPRO_SHARD_AUTHKEY"):
-        authkey = os.environ["REPRO_SHARD_AUTHKEY"].encode("latin-1")
-    else:
-        authkey = DEFAULT_AUTHKEY
     try:
-        serve(args.bind, max_tasks=args.max_tasks, authkey=authkey)
+        serve(
+            args.bind,
+            max_tasks=args.max_tasks,
+            authkey=resolve_authkey(args.authkey),
+        )
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,13 +35,13 @@ from repro.serve import (
     TenantQuotaExceeded,
 )
 from repro.serve.daemon import spawn_daemon
-from repro.serve.fleet import FleetManager
 from repro.serve.jobs import DatasetCache, cache_summary, payload_nbytes
 from repro.serve.ring import HashRing, route_key
 from repro.serve.router import Router, RouterConfig
 from repro.shard.remote import send_frame
 from repro.solvers import SolverContext
 from repro.utils.errors import ValidationError
+from repro.utils.proc import Fleet
 
 PROFILE = "rm_small"
 R = 11  # view count of rm_small
@@ -689,7 +690,8 @@ class TestDrainUnderRouterTraffic:
             "kind": "objective", "profile": PROFILE, "k": 2,
             "weights": np.full(R, 1.0 / R),
         }
-        with FleetManager(3, argv_extra=["--workers", "1"]) as fleet:
+        daemons = partial(spawn_daemon, argv_extra=["--workers", "1"])
+        with Fleet(daemons, 3) as fleet:
             addrs = fleet.addresses()
             primary = HashRing(addrs).lookup(route_key(job))[0]
             config = RouterConfig(
@@ -716,7 +718,7 @@ class TestDrainUnderRouterTraffic:
                     thread.start()
                 try:
                     time.sleep(0.3)  # traffic in flight at the primary
-                    fleet.terminate_one(primary)  # SIGTERM: drain
+                    fleet.member(primary).terminate()  # SIGTERM: drain
                     # the health flag takes it out of rotation
                     assert wait_for(
                         lambda: router.health[primary].draining
@@ -724,7 +726,7 @@ class TestDrainUnderRouterTraffic:
                         timeout=10.0,
                     )
                     # the daemon finishes in-flight work and exits clean
-                    assert fleet.daemon(primary).wait(timeout=30) == 0
+                    assert fleet.member(primary).wait(timeout=30) == 0
                     time.sleep(0.3)  # traffic continues on survivors
                 finally:
                     stop.set()

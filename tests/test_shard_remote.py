@@ -212,7 +212,9 @@ class TestKilledFleet:
         ) as ctx:
             items = list(range(6))
             assert ctx.run(_square, items) == [i * i for i in items]
-            ctx.remote_fleet().kill_all()
+            processes = ctx.remote_fleet().processes
+            for address in processes.addresses():
+                processes.member(address).kill()
             # Arm faults for the process rung only now, so the healthy
             # dispatch above ran clean: items reach the process rung
             # with one failed attempt behind them (< 2), crash there,
@@ -240,7 +242,7 @@ class TestKilledFleet:
             assert ctx.run(_square, [1, 2]) == [1, 4]
             fleet = ctx.remote_fleet()
             old_id = fleet.worker_ids()[0]
-            fleet.kill_all()
+            fleet.processes.member(old_id).kill()
             # The next dispatch sees the dead socket, marks the worker
             # dead, and the retry runs on a freshly spawned worker.
             assert ctx.run(_square, [3, 4]) == [9, 16]
