@@ -368,16 +368,9 @@ def _cmd_serve_stats(args) -> int:
             f"{RouteStats.summary_from_snapshot(health['route_stats'])}"
         )
     else:
-        serve_line = ServeStats.summary_from_snapshot(health["stats"])
-        if "cache" in health:
-            from repro.serve.jobs import cache_summary
+        from repro.serve.daemon import serve_line
 
-            serve_line = f"{serve_line}; {cache_summary(health['cache'])}"
-        if health.get("results", {}).get("enabled"):
-            from repro.serve.results import results_summary
-
-            serve_line = f"{serve_line}; {results_summary(health['results'])}"
-        print(f"serve: {serve_line}")
+        print(f"serve: {serve_line(health)}")
         print(
             f"queue: {health['queue_depth']}/{health['queue_capacity']} "
             f"queued, {health['running']} running, "

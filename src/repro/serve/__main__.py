@@ -21,7 +21,7 @@ import sys
 from typing import Optional
 
 from repro.serve.config import ServeConfig
-from repro.serve.daemon import ServeDaemon
+from repro.serve.daemon import ServeDaemon, serve_line
 from repro.serve.server import run_until_signalled
 from repro.shard.remote import resolve_authkey
 from repro.utils.errors import ValidationError
@@ -162,16 +162,7 @@ def main(argv: Optional[list] = None) -> int:
     if daemon is None:
         return 2
     drained = daemon.stop(drain=True)
-    from repro.serve.jobs import cache_summary
-    from repro.serve.results import results_summary
-
-    line = (
-        f"serve: {daemon.stats.summary()}; "
-        f"{cache_summary(daemon.datasets.snapshot())}"
-    )
-    if daemon.results is not None:
-        line += f"; {results_summary(daemon.results.snapshot())}"
-    print(line, file=sys.stderr)
+    print(f"serve: {serve_line(daemon.health_snapshot())}", file=sys.stderr)
     if not drained:
         print(
             f"serve: drain grace ({daemon.config.drain_grace}s) expired with "

@@ -42,15 +42,17 @@ from repro.serve.config import ServeConfig
 from repro.serve.jobs import (
     DatasetCache,
     batch_key,
+    cache_summary,
     run_cluster,
     run_embed,
     run_objective_group,
 )
 from repro.serve.protocol import error_reply
 from repro.serve.queue import AdmissionQueue, RequestEntry
-from repro.serve.results import ResultCache, result_key
+from repro.serve.results import ResultCache, result_key, results_summary
 from repro.serve.server import FramedServer
 from repro.serve.stats import ServeStats
+from repro.shard import ShardStats
 from repro.utils.errors import DeadlineExceeded, ServeError
 from repro.utils.proc import Spawned, spawn
 
@@ -206,8 +208,7 @@ class ServeDaemon:
         rung = 0
         backends = set()
         quarantined: List[str] = []
-        degradations = 0
-        workers_quarantined = 0
+        totals = ShardStats()
         for shard in shards:
             director = shard.director
             rung = max(rung, director._rung)
@@ -217,8 +218,7 @@ class ServeDaemon:
                 for worker in list(director._health)
                 if director.is_quarantined(worker)
             )
-            degradations += shard.stats.degradations
-            workers_quarantined += shard.stats.workers_quarantined
+            totals.merge(shard.stats)
         return {
             "ok": True,
             "address": self.address,
@@ -232,8 +232,8 @@ class ServeDaemon:
                 "degradation_rung": rung,
                 "effective_backends": sorted(backends),
                 "quarantined_workers": sorted(set(quarantined)),
-                "degradations": degradations,
-                "workers_quarantined": workers_quarantined,
+                "degradations": totals.degradations,
+                "workers_quarantined": totals.workers_quarantined,
             },
             "cache": self.datasets.snapshot(),
             "results": (
@@ -424,6 +424,17 @@ class ServeDaemon:
         finally:
             if shard is not None:
                 shard.timeout = saved_timeout
+
+
+def serve_line(health: Dict[str, Any]) -> str:
+    """The ``serve:`` digest of a daemon health payload: tenant stats,
+    then the dataset-cache and (when enabled) result-cache summaries."""
+    parts = [ServeStats.summary_from_snapshot(health["stats"])]
+    if "cache" in health:
+        parts.append(cache_summary(health["cache"]))
+    if health.get("results", {}).get("enabled"):
+        parts.append(results_summary(health["results"]))
+    return "; ".join(parts)
 
 
 # ---------------------------------------------------------------------- #

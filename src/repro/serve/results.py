@@ -52,6 +52,17 @@ _KEY_SALT = b"repro-serve-result-identity-v1"
 #: defensively via repr.
 _COMMON_FIELDS = ("kind", "profile", "seed", "k", "config")
 
+#: the shape of :meth:`ResultCache.snapshot` on the wire, for
+#: :func:`repro.obs.fold_snapshots`: counters and sizes sum (they are
+#: per-daemon disjoint), ``enabled`` is true when any daemon caches, so
+#: the router's fleet hit rate is ``hits / (hits + misses)`` over the
+#: summed counters.
+RESULTS_SHAPE = {
+    "enabled": False,
+    "hits": 0, "misses": 0, "evictions": 0, "insertions": 0,
+    "skipped_oversize": 0, "entries": 0, "bytes": 0, "max_bytes": 0,
+}
+
 
 def result_key(job: Dict[str, Any]) -> Optional[bytes]:
     """Canonical identity digest of ``job``, or ``None`` if uncacheable.
@@ -220,29 +231,3 @@ def results_summary(snap: Dict[str, Any]) -> str:
         f"{snap['entries']} entries "
         f"({snap['bytes'] / 1048576.0:.1f}MB{budget})"
     )
-
-
-def merge_results_snapshots(snaps) -> Dict[str, Any]:
-    """Fold per-daemon result-cache snapshots into one fleet picture.
-
-    Counters and sizes sum (they are per-daemon disjoint); ``enabled``
-    is true when any daemon caches — the fleet hit rate the router's
-    ``serve-stats`` view reports is ``hits / (hits + misses)`` over the
-    summed counters.
-    """
-    merged = {
-        "enabled": False,
-        "hits": 0, "misses": 0, "evictions": 0, "insertions": 0,
-        "skipped_oversize": 0, "entries": 0, "bytes": 0, "max_bytes": 0,
-    }
-    for snap in snaps:
-        if not snap or not snap.get("enabled"):
-            continue
-        merged["enabled"] = True
-        for name in (
-            "hits", "misses", "evictions", "insertions",
-            "skipped_oversize", "entries", "bytes",
-        ):
-            merged[name] += int(snap.get(name, 0) or 0)
-        merged["max_bytes"] += int(snap.get("max_bytes", 0) or 0)
-    return merged

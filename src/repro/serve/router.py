@@ -34,7 +34,7 @@ Robustness machinery, per daemon:
   probe turns into a cancellation — hedges bound tail latency without
   doubling work on the happy path.
 
-Every decision is counted in a mergeable :class:`RouteStats`
+Every decision is counted in a :class:`RouteStats`
 (failovers, hedges, breaker transitions, per-daemon outcomes), and the
 router's ``health`` op aggregates the whole fleet — queue depths,
 breaker states, per-daemon stats — which ``repro.cli serve-stats``
@@ -54,13 +54,14 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs import CounterTable, fold_snapshots, percentile
 from repro.serve.client import IDEMPOTENT_KINDS, REPLY_GRACE
 from repro.serve.config import RouterConfig
 from repro.serve.protocol import reply_to_error
-from repro.serve.results import merge_results_snapshots
+from repro.serve.results import RESULTS_SHAPE
 from repro.serve.ring import HashRing, route_key
 from repro.serve.server import FramedServer, run_until_signalled
-from repro.serve.stats import ServeStats, percentile
+from repro.serve.stats import SNAPSHOT_SHAPE
 from repro.shard.remote import (
     TRANSPORT_ERRORS,
     connect,
@@ -96,98 +97,34 @@ _DAEMON_COUNTERS = ("routed", "completed", "failed", "cancelled_hedges")
 
 
 class RouteStats:
-    """Mergeable routing counters (the ``route:`` line's backing store).
+    """Routing counters (the ``route:`` line's backing store).
 
-    Same conventions as ``SolverStats`` / ``ShardStats`` /
-    ``ServeStats``: every counter observable end to end, ``merge`` /
-    ``__iadd__`` aliasing-safe so multi-router deployments can fold
-    their stats into one picture, a one-line ``summary()``.
+    Router-wide counters and the dispatch-latency window sit on one
+    :class:`~repro.obs.CounterTable` row, per-daemon outcomes on a
+    second table keyed by address; a one-line ``summary()``.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for name in _COUNTERS:
-            setattr(self, name, 0)
-        self._daemons: Dict[str, Dict[str, int]] = {}
-        self._latencies: List[float] = []
+        self._router = CounterTable(_COUNTERS, LATENCY_SAMPLES)
+        self._daemons = CounterTable(_DAEMON_COUNTERS)
 
     def bump(self, counter: str, by: int = 1) -> None:
-        if counter not in _COUNTERS:
-            raise KeyError(counter)
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + by)
+        self._router.bump("", counter, by)
 
     def bump_daemon(self, address: str, counter: str, by: int = 1) -> None:
-        if counter not in _DAEMON_COUNTERS:
-            raise KeyError(counter)
-        with self._lock:
-            per = self._daemons.setdefault(
-                address, {name: 0 for name in _DAEMON_COUNTERS}
-            )
-            per[counter] += by
+        self._daemons.bump(address, counter, by)
 
     def observe_latency(self, seconds: float) -> None:
-        with self._lock:
-            self._latencies.append(float(seconds))
-            if len(self._latencies) > LATENCY_SAMPLES:
-                del self._latencies[: -LATENCY_SAMPLES]
+        self._router.observe("", seconds)
 
     def latency_quantile(self, q: float) -> Tuple[float, int]:
         """``(value, sample_count)`` of the ``q`` in (0,1) quantile."""
-        with self._lock:
-            samples = list(self._latencies)
+        samples = self._router.samples()
         return percentile(samples, q * 100.0), len(samples)
 
-    # ------------------------------------------------------------------ #
-
-    def merge(self, other: "RouteStats") -> "RouteStats":
-        """Fold ``other`` into ``self`` (aliasing-safe; returns self)."""
-        if other is self:
-            with self._lock:
-                for name in _COUNTERS:
-                    setattr(self, name, 2 * getattr(self, name))
-                for per in self._daemons.values():
-                    for name in _DAEMON_COUNTERS:
-                        per[name] *= 2
-                self._latencies.extend(list(self._latencies))
-                if len(self._latencies) > LATENCY_SAMPLES:
-                    del self._latencies[: -LATENCY_SAMPLES]
-            return self
-        with other._lock:
-            counters = {
-                name: getattr(other, name) for name in _COUNTERS
-            }
-            daemons = {
-                address: dict(per) for address, per in other._daemons.items()
-            }
-            latencies = list(other._latencies)
-        with self._lock:
-            for name, value in counters.items():
-                setattr(self, name, getattr(self, name) + value)
-            for address, per in daemons.items():
-                mine = self._daemons.setdefault(
-                    address, {name: 0 for name in _DAEMON_COUNTERS}
-                )
-                for name, value in per.items():
-                    mine[name] += value
-            self._latencies.extend(latencies)
-            if len(self._latencies) > LATENCY_SAMPLES:
-                del self._latencies[: -LATENCY_SAMPLES]
-        return self
-
-    def __iadd__(self, other: "RouteStats") -> "RouteStats":
-        return self.merge(other)
-
     def snapshot(self) -> dict:
-        with self._lock:
-            payload = {name: getattr(self, name) for name in _COUNTERS}
-            payload["daemons"] = {
-                address: dict(per)
-                for address, per in sorted(self._daemons.items())
-            }
-            samples = list(self._latencies)
-        payload["dispatch_p50_ms"] = percentile(samples, 50) * 1e3
-        payload["dispatch_p99_ms"] = percentile(samples, 99) * 1e3
+        _, payload = self._router.snapshot("dispatch")
+        payload["daemons"], _ = self._daemons.snapshot()
         return payload
 
     def summary(self) -> str:
@@ -517,8 +454,6 @@ class Router:
             if monitor is not None:
                 _Endpoint.discard(monitor)
             self._monitors[address] = None
-            if health.alive:
-                self.stats.bump("skipped_unhealthy", 0)  # touch for merge
             health.alive = False
             health.error = f"{type(error).__name__}: {error}"
             health.snapshot = None
@@ -1004,14 +939,14 @@ class Router:
             },
             "daemons": daemons,
             "route_stats": self.stats.snapshot(),
-            "stats": ServeStats.merge_snapshots(
-                [snap["stats"] for snap in snapshots if "stats" in snap]
+            "stats": fold_snapshots(
+                [snap.get("stats") for snap in snapshots], SNAPSHOT_SHAPE
             ),
             # Fleet-aggregated result-cache counters: hits/misses sum
             # across daemons, so the serve-stats view shows one fleet
             # hit rate for repeat traffic.
-            "results": merge_results_snapshots(
-                [snap.get("results") for snap in snapshots]
+            "results": fold_snapshots(
+                [snap.get("results") for snap in snapshots], RESULTS_SHAPE
             ),
         }
 

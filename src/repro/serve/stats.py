@@ -1,16 +1,17 @@
 """Per-tenant serving statistics: outcomes and queue-wait percentiles.
 
-Follows the ``SolverStats`` / ``ShardStats`` convention — counters
-observable end to end, a one-line ``summary()`` for the CLI ``serve:``
-line — extended per tenant so the isolation story is measurable: the
-health endpoint shows exactly which tenant was shed, expired, or served.
+Stored on the shared :class:`repro.obs.CounterTable` (DESIGN.md §16):
+counters observable end to end, a one-line ``summary()`` for the CLI
+``serve:`` line, kept per tenant so the isolation story is measurable —
+the health endpoint shows exactly which tenant was shed, expired, or
+served.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Optional
+
+from repro.obs import CounterTable, Rows, percentile  # noqa: F401 (re-export)
 
 #: queue-wait samples kept per tenant (bounded so a long-lived daemon's
 #: stats memory is O(tenants), not O(requests)).
@@ -27,123 +28,48 @@ _COUNTERS = (
     "deadline_expired", "cancelled", "batched", "result_hits",
 )
 
+_WAITS = {"queue_wait_p50_ms": 0.0, "queue_wait_p99_ms": 0.0}
 
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in [0, 100]); 0.0 on empty input."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1)))))
-    return float(ordered[rank])
-
-
-class TenantStats:
-    """Counters + bounded queue-wait reservoir for one tenant."""
-
-    def __init__(self) -> None:
-        for name in _COUNTERS:
-            setattr(self, name, 0)
-        self.queue_waits: Deque[float] = deque(maxlen=WAIT_SAMPLES)
-
-    def rejected_total(self) -> int:
-        return (
-            self.rejected_overload
-            + self.rejected_quota
-            + self.rejected_draining
-        )
-
-    def to_dict(self) -> dict:
-        payload = {name: getattr(self, name) for name in _COUNTERS}
-        payload["queue_wait_p50_ms"] = percentile(self.queue_waits, 50) * 1e3
-        payload["queue_wait_p99_ms"] = percentile(self.queue_waits, 99) * 1e3
-        return payload
+#: the shape of :meth:`ServeStats.snapshot` on the wire, for
+#: :func:`repro.obs.fold_snapshots` (the router's fleet-wide view).
+SNAPSHOT_SHAPE = {
+    "totals": dict.fromkeys(_COUNTERS, 0) | _WAITS,
+    "tenants": Rows(dict.fromkeys(_COUNTERS, 0) | _WAITS),
+    "priorities": Rows({"served": 0} | _WAITS, PRIORITIES),
+}
 
 
 class ServeStats:
     """Thread-safe per-tenant statistics of one daemon.
 
-    Every mutation happens under one lock (the counters are touched by
-    connection threads, queue internals, and executor threads alike);
-    reads take a consistent snapshot.
+    Counters and queue-wait windows live in a per-tenant
+    :class:`~repro.obs.CounterTable`; a second table keyed by priority
+    class holds the daemon-wide per-priority waits (the priority story
+    is about *class* latency across tenants).
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._tenants: Dict[str, TenantStats] = {}
-        # Daemon-wide per-priority wait reservoirs: the priority story
-        # is about *class* latency across tenants, so these aggregate
-        # globally rather than per tenant.
-        self._priority_waits: Dict[str, Deque[float]] = {
-            name: deque(maxlen=WAIT_SAMPLES) for name in PRIORITIES
-        }
-        self._priority_served: Dict[str, int] = {
-            name: 0 for name in PRIORITIES
-        }
-
-    def _tenant(self, tenant: str) -> TenantStats:
-        stats = self._tenants.get(tenant)
-        if stats is None:
-            stats = self._tenants[tenant] = TenantStats()
-        return stats
+        self._tenants = CounterTable(_COUNTERS, WAIT_SAMPLES)
+        self._priorities = CounterTable(("served",), WAIT_SAMPLES, PRIORITIES)
 
     def bump(self, tenant: str, counter: str, by: int = 1) -> None:
-        if counter not in _COUNTERS:
-            raise KeyError(counter)
-        with self._lock:
-            stats = self._tenant(tenant)
-            setattr(stats, counter, getattr(stats, counter) + by)
+        self._tenants.bump(tenant, counter, by)
 
     def record_wait(
         self, tenant: str, seconds: float, priority: Optional[str] = None
     ) -> None:
-        with self._lock:
-            self._tenant(tenant).queue_waits.append(float(seconds))
-            if priority in self._priority_waits:
-                self._priority_waits[priority].append(float(seconds))
-                self._priority_served[priority] += 1
-
-    # ------------------------------------------------------------------ #
-    # Snapshots
-    # ------------------------------------------------------------------ #
-
-    def _all_waits(self) -> List[float]:
-        waits: List[float] = []
-        for stats in self._tenants.values():
-            waits.extend(stats.queue_waits)
-        return waits
+        self._tenants.observe(tenant, seconds)
+        if priority in PRIORITIES:
+            self._priorities.observe(priority, seconds)
+            self._priorities.bump(priority, "served")
 
     def total(self, counter: str) -> int:
-        with self._lock:
-            return sum(
-                getattr(stats, counter) for stats in self._tenants.values()
-            )
+        return self._tenants.snapshot()[1][counter]
 
     def snapshot(self) -> dict:
-        """Totals + per-tenant dict, as one consistent picture."""
-        with self._lock:
-            tenants = {
-                name: stats.to_dict()
-                for name, stats in sorted(self._tenants.items())
-            }
-            totals = {
-                name: sum(t[name] for t in tenants.values())
-                for name in _COUNTERS
-            }
-            waits = self._all_waits()
-            priorities = {
-                name: {
-                    "served": self._priority_served[name],
-                    "queue_wait_p50_ms": percentile(
-                        self._priority_waits[name], 50
-                    ) * 1e3,
-                    "queue_wait_p99_ms": percentile(
-                        self._priority_waits[name], 99
-                    ) * 1e3,
-                }
-                for name in PRIORITIES
-            }
-        totals["queue_wait_p50_ms"] = percentile(waits, 50) * 1e3
-        totals["queue_wait_p99_ms"] = percentile(waits, 99) * 1e3
+        """Totals + per-tenant + per-priority dicts."""
+        tenants, totals = self._tenants.snapshot("queue_wait")
+        priorities, _ = self._priorities.snapshot("queue_wait")
         return {
             "totals": totals, "tenants": tenants, "priorities": priorities
         }
@@ -151,62 +77,6 @@ class ServeStats:
     def summary(self) -> str:
         """The one-line ``serve:`` digest (CLI and shutdown log)."""
         return self.summary_from_snapshot(self.snapshot())
-
-    @staticmethod
-    def merge_snapshots(snaps: Sequence[dict]) -> dict:
-        """Fold several daemons' wire snapshots into one fleet picture.
-
-        Counters sum; percentile keys take the fleet-wide maximum (a
-        sum of percentiles means nothing, and the max is the honest
-        tail bound an operator cares about).  Missing counter keys
-        (older daemons on the wire) and missing sections read as zero,
-        so a mixed-version fleet still aggregates.  The result has the
-        same shape as :meth:`snapshot`, so :meth:`summary_from_snapshot`
-        renders it unchanged — this is what backs the router's
-        aggregated ``serve-stats`` view.
-        """
-        percentile_keys = ("queue_wait_p50_ms", "queue_wait_p99_ms")
-        totals = {name: 0 for name in _COUNTERS}
-        totals.update({name: 0.0 for name in percentile_keys})
-        tenants: Dict[str, dict] = {}
-        priorities: Dict[str, dict] = {
-            name: {"served": 0} | {key: 0.0 for key in percentile_keys}
-            for name in PRIORITIES
-        }
-        for snap in snaps:
-            snap_totals = snap.get("totals", {})
-            for name in _COUNTERS:
-                totals[name] += int(snap_totals.get(name, 0))
-            for name in percentile_keys:
-                totals[name] = max(
-                    totals[name], float(snap_totals.get(name, 0.0))
-                )
-            for tenant, payload in snap.get("tenants", {}).items():
-                merged = tenants.setdefault(
-                    tenant,
-                    {name: 0 for name in _COUNTERS}
-                    | {name: 0.0 for name in percentile_keys},
-                )
-                for name in _COUNTERS:
-                    merged[name] += int(payload.get(name, 0))
-                for name in percentile_keys:
-                    merged[name] = max(
-                        merged[name], float(payload.get(name, 0.0))
-                    )
-            for name, payload in (snap.get("priorities") or {}).items():
-                merged = priorities.setdefault(
-                    name, {"served": 0} | {k: 0.0 for k in percentile_keys}
-                )
-                merged["served"] += int(payload.get("served", 0))
-                for key in percentile_keys:
-                    merged[key] = max(
-                        merged[key], float(payload.get(key, 0.0))
-                    )
-        return {
-            "totals": totals,
-            "tenants": dict(sorted(tenants.items())),
-            "priorities": priorities,
-        }
 
     @staticmethod
     def summary_from_snapshot(snap: dict) -> str:

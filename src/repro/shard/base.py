@@ -20,6 +20,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
+from repro.obs import Counters
 from repro.shard.plan import ShardPlan
 
 #: a task function: ``(item, common) -> result``; must be module-level
@@ -28,7 +29,7 @@ TaskFunc = Callable[[Any, Optional[dict]], Any]
 
 
 @dataclass
-class ShardStats:
+class ShardStats(Counters):
     """Counters accumulated across the dispatches of one shard context.
 
     The headline split is ``dispatches`` (multi-process fan-outs) vs
@@ -53,24 +54,6 @@ class ShardStats:
     redispatches: int = 0
     degradations: int = 0
     workers_quarantined: int = 0
-
-    _FIELDS = (
-        "dispatches", "serial_dispatches", "tasks", "shards_used",
-        "segments", "bytes_shared", "failures", "retries",
-        "redispatches", "degradations", "workers_quarantined",
-    )
-
-    def merge(self, other: "ShardStats") -> "ShardStats":
-        """Fold ``other``'s counters into this object (aliasing-safe)."""
-        # Snapshot first so merging an object into itself doubles cleanly
-        # instead of reading half-updated fields.
-        snapshot = tuple(getattr(other, name) for name in self._FIELDS)
-        for name, value in zip(self._FIELDS, snapshot):
-            setattr(self, name, getattr(self, name) + value)
-        return self
-
-    def __iadd__(self, other: "ShardStats") -> "ShardStats":
-        return self.merge(other)
 
     def summary(self) -> str:
         """One-line human-readable digest (used by the CLI)."""

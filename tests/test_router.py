@@ -521,35 +521,10 @@ class TestCircuitBreaker:
 # ---------------------------------------------------------------------- #
 
 class TestRouteStats:
-    def test_merge_sums_counters_and_daemons(self):
-        a, b = RouteStats(), RouteStats()
-        a.bump("requests", 2)
-        a.bump_daemon("x:1", "routed", 2)
-        b.bump("requests", 3)
-        b.bump("failovers")
-        b.bump_daemon("x:1", "routed")
-        b.bump_daemon("y:1", "completed", 4)
-        a.merge(b)
-        snap = a.snapshot()
-        assert snap["requests"] == 5
-        assert snap["failovers"] == 1
-        assert snap["daemons"]["x:1"]["routed"] == 3
-        assert snap["daemons"]["y:1"]["completed"] == 4
-
-    def test_self_merge_doubles(self):
+    def test_bump_then_summary(self):
         stats = RouteStats()
-        stats.bump("requests", 2)
-        stats.bump_daemon("x:1", "routed")
-        stats.merge(stats)
-        snap = stats.snapshot()
-        assert snap["requests"] == 4
-        assert snap["daemons"]["x:1"]["routed"] == 2
-
-    def test_iadd_and_summary(self):
-        a, b = RouteStats(), RouteStats()
-        b.bump("requests")
-        a += b
-        assert "1 requests" in a.summary()
+        stats.bump("requests")
+        assert "1 requests" in stats.summary()
 
     def test_unknown_counter_rejected(self):
         with pytest.raises(KeyError):

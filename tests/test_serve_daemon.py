@@ -34,7 +34,7 @@ from repro.serve import (
     ServerOverloaded,
     TenantQuotaExceeded,
 )
-from repro.serve.daemon import spawn_daemon
+from repro.serve.daemon import serve_line, spawn_daemon
 from repro.serve.jobs import DatasetCache, cache_summary, payload_nbytes
 from repro.serve.ring import HashRing, route_key
 from repro.serve.router import Router, RouterConfig
@@ -448,6 +448,22 @@ class TestServeStatsCLI:
         assert result.returncode == 2
         assert result.stderr.startswith("error:")
         assert "Traceback" not in result.stderr
+
+    def test_serve_line_joins_stats_and_caches(self, daemon):
+        # The one renderer behind `serve-stats` and the shutdown log.
+        health = daemon.health_snapshot()
+        line = serve_line(health)
+        assert line == (
+            "0 requests (0 tenants), 0 completed, 0 rejected, "
+            "0 deadline-expired, 0 batched, 0 result-cache hits; "
+            "queue wait p50 0.0ms / p99 0.0ms; "
+            "cache 0 hits / 0 misses / 0 evictions, 0 entries "
+            "(0.0MB of 256.0MB); "
+            "results 0 hits / 0 misses (0%) / 0 evictions, 0 entries "
+            "(0.0MB of 64.0MB)"
+        )
+        health["results"] = {"enabled": False}
+        assert serve_line(health) == line.rsplit("; results", 1)[0]
 
 
 # ---------------------------------------------------------------------- #

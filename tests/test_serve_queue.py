@@ -18,7 +18,13 @@ from repro.serve.queue import (
     RequestEntry,
     TokenBucket,
 )
-from repro.serve.stats import PRIORITIES, ServeStats, percentile
+from repro.obs import fold_snapshots
+from repro.serve.stats import (
+    PRIORITIES,
+    SNAPSHOT_SHAPE,
+    ServeStats,
+    percentile,
+)
 from repro.utils.errors import (
     DeadlineExceeded,
     ServerDraining,
@@ -388,7 +394,7 @@ class TestMergeSnapshots:
         b.bump("acme", "requests", 1)
         b.bump("zeta", "requests", 5)  # tenant known to one daemon only
         b.record_wait("zeta", 0.400)
-        merged = ServeStats.merge_snapshots([a.snapshot(), b.snapshot()])
+        merged = fold_snapshots([a.snapshot(), b.snapshot()], SNAPSHOT_SHAPE)
         assert merged["totals"]["requests"] == 9
         assert merged["tenants"]["acme"]["requests"] == 4
         assert merged["tenants"]["zeta"]["requests"] == 5
@@ -414,7 +420,7 @@ class TestMergeSnapshots:
         new = ServeStats()
         new.bump("acme", "result_hits")
         new.record_wait("acme", 0.001, priority="interactive")
-        merged = ServeStats.merge_snapshots([old, new.snapshot()])
+        merged = fold_snapshots([old, new.snapshot()], SNAPSHOT_SHAPE)
         assert merged["totals"]["requests"] == 2
         assert merged["totals"]["result_hits"] == 1
         assert merged["tenants"]["acme"]["result_hits"] == 1
@@ -424,7 +430,7 @@ class TestMergeSnapshots:
         assert "1 result-cache hits" in line
 
     def test_empty_merge_still_renders(self):
-        merged = ServeStats.merge_snapshots([])
+        merged = fold_snapshots([], SNAPSHOT_SHAPE)
         assert merged["totals"]["requests"] == 0
         assert all(name in merged["priorities"] for name in PRIORITIES)
         assert "0 requests" in ServeStats.summary_from_snapshot(merged)

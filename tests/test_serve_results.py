@@ -22,11 +22,12 @@ from repro.core.objective import SpectralObjective
 from repro.core.pipeline import cluster_mvag, embed_mvag
 from repro.core.sgla import SGLAConfig, prepare_laplacians
 from repro.datasets.profiles import load_profile_mvag
+from repro.obs import fold_snapshots
 from repro.serve import ServeClient, ServeConfig, ServeDaemon
 from repro.serve.daemon import spawn_daemon
 from repro.serve.results import (
+    RESULTS_SHAPE,
     ResultCache,
-    merge_results_snapshots,
     result_key,
     results_summary,
 )
@@ -226,15 +227,16 @@ class TestResultCache:
         a.put(b"a" * 16, {"v": np.zeros(4)})
         a.get(b"a" * 16)
         b.get(b"z" * 16)
-        merged = merge_results_snapshots(
-            [a.snapshot(), b.snapshot(), {"enabled": False}, None]
+        merged = fold_snapshots(
+            [a.snapshot(), b.snapshot(), {"enabled": False}, None],
+            RESULTS_SHAPE,
         )
         assert merged["enabled"] is True
         assert merged["hits"] == 1
         assert merged["misses"] == 1
         assert merged["entries"] == 1
         assert merged["max_bytes"] == 2 << 20
-        assert merge_results_snapshots([])["enabled"] is False
+        assert fold_snapshots([], RESULTS_SHAPE)["enabled"] is False
 
 
 # ---------------------------------------------------------------------- #

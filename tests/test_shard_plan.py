@@ -8,6 +8,8 @@ in the assertion message.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -160,23 +162,27 @@ def _random_neighbor_stats(rng) -> NeighborStats:
     return stats
 
 
-def _solver_fields(stats: SolverStats) -> dict:
-    return {
-        "solves": stats.solves, "saved": stats.saved,
-        "warm": stats.warm_solves, "cold": stats.cold_solves,
-        "batched": stats.batched_solves, "matvecs": stats.matvecs,
-        "coarse": stats.coarse_solves, "tol": stats.tolerance_updates,
-        "by_backend": dict(stats.by_backend),
-    }
+#: NeighborStats.recall_sample is configuration: merge keeps the
+#: receiving object's value instead of summing it.
+CONFIG_FIELDS = {"recall_sample"}
 
 
-def _neighbor_fields(stats: NeighborStats) -> dict:
-    return {
-        "builds": stats.builds, "nodes": stats.nodes,
-        "cand": stats.candidate_pairs, "exh": stats.exhaustive_pairs,
-        "hits": stats.recall_hits, "total": stats.recall_total,
-        "by_backend": dict(stats.by_backend),
-    }
+def _counter_fields(stats) -> dict:
+    """Every counter field of a stats dataclass (dict fields copied)."""
+    out = {}
+    for spec in dataclasses.fields(stats):
+        if spec.name in CONFIG_FIELDS:
+            continue
+        value = getattr(stats, spec.name)
+        out[spec.name] = dict(value) if isinstance(value, dict) else value
+    return out
+
+
+def _random_shard_stats(rng) -> ShardStats:
+    stats = ShardStats()
+    for spec in dataclasses.fields(stats):
+        setattr(stats, spec.name, int(rng.integers(0, 1 << 20)))
+    return stats
 
 
 def _sum_dicts(dicts):
@@ -200,11 +206,11 @@ class TestStatsMergeProperties:
                 _random_solver_stats(rng)
                 for _ in range(int(rng.integers(1, 6)))
             ]
-            expected = _sum_dicts(_solver_fields(p) for p in parts)
+            expected = _sum_dicts(_counter_fields(p) for p in parts)
             merged = SolverStats()
             for part in parts:
                 merged.merge(part)
-            assert _solver_fields(merged) == expected, f"trial {trial}"
+            assert _counter_fields(merged) == expected, f"trial {trial}"
 
     def test_neighbor_stats_merge_equals_sum(self):
         rng = np.random.default_rng(59)
@@ -213,58 +219,53 @@ class TestStatsMergeProperties:
                 _random_neighbor_stats(rng)
                 for _ in range(int(rng.integers(1, 6)))
             ]
-            expected = _sum_dicts(_neighbor_fields(p) for p in parts)
+            expected = _sum_dicts(_counter_fields(p) for p in parts)
             merged = NeighborStats(recall_sample=0)
             for part in parts:
                 merged.merge(part)
-            assert _neighbor_fields(merged) == expected, f"trial {trial}"
+            assert _counter_fields(merged) == expected, f"trial {trial}"
+            # Configuration is kept, not summed.
+            assert merged.recall_sample == 0, f"trial {trial}"
 
     def test_shard_stats_merge_equals_sum(self):
         rng = np.random.default_rng(61)
         for _ in range(N_TRIALS // 4):
-            parts = []
-            for _ in range(int(rng.integers(1, 5))):
-                stats = ShardStats()
-                stats.dispatches = int(rng.integers(0, 5))
-                stats.serial_dispatches = int(rng.integers(0, 5))
-                stats.tasks = int(rng.integers(0, 20))
-                stats.shards_used = int(rng.integers(0, 8))
-                stats.segments = int(rng.integers(0, 10))
-                stats.bytes_shared = int(rng.integers(0, 1 << 24))
-                stats.failures = int(rng.integers(0, 2))
-                parts.append(stats)
+            parts = [
+                _random_shard_stats(rng)
+                for _ in range(int(rng.integers(1, 5)))
+            ]
             merged = ShardStats()
             for part in parts:
                 merged += part
             assert merged.tasks == sum(p.tasks for p in parts)
             assert merged.bytes_shared == sum(p.bytes_shared for p in parts)
             assert merged.dispatches == sum(p.dispatches for p in parts)
+            assert _counter_fields(merged) == _sum_dicts(
+                _counter_fields(p) for p in parts
+            )
 
     def test_merge_is_aliasing_safe(self):
         """stats.merge(stats) doubles every counter (no double-count)."""
         rng = np.random.default_rng(67)
-        solver = _random_solver_stats(rng)
-        before = _solver_fields(solver)
-        solver.merge(solver)
-        after = _solver_fields(solver)
-        for key, value in before.items():
-            if key == "by_backend":
-                assert after[key] == {
-                    name: 2 * count for name, count in value.items()
-                }
-            else:
-                assert after[key] == 2 * value
-        neighbor = _random_neighbor_stats(rng)
-        nbefore = _neighbor_fields(neighbor)
-        neighbor.merge(neighbor)
-        nafter = _neighbor_fields(neighbor)
-        for key, value in nbefore.items():
-            if key == "by_backend":
-                assert nafter[key] == {
-                    name: 2 * count for name, count in value.items()
-                }
-            else:
-                assert nafter[key] == 2 * value
+        for stats in (
+            _random_solver_stats(rng),
+            _random_neighbor_stats(rng),
+            _random_shard_stats(rng),
+        ):
+            before = _counter_fields(stats)
+            config = {name: getattr(stats, name) for name in CONFIG_FIELDS
+                      if hasattr(stats, name)}
+            stats.merge(stats)
+            after = _counter_fields(stats)
+            for key, value in before.items():
+                if key == "by_backend":
+                    assert after[key] == {
+                        name: 2 * count for name, count in value.items()
+                    }
+                else:
+                    assert after[key] == 2 * value
+            for name, value in config.items():
+                assert getattr(stats, name) == value
 
     def test_iadd_matches_merge(self):
         rng = np.random.default_rng(71)
@@ -275,4 +276,4 @@ class TestStatsMergeProperties:
         b2 = SolverStats()
         b2 += a1
         b2 += a2
-        assert _solver_fields(b1) == _solver_fields(b2)
+        assert _counter_fields(b1) == _counter_fields(b2)
